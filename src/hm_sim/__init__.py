@@ -22,12 +22,14 @@ from .bloch import (
 )
 from .dynamics import (
     CollapseTrace,
+    MeasurementPlan,
     MembraneModel,
     RandomSource,
     die_measure,
     die_observable,
     die_state,
     luders_posterior,
+    prepare_measurement,
     run_measurement,
     sample_breaking_point,
     spin_machine_measure,
@@ -56,7 +58,6 @@ from .geometry import (
     spin_observable,
     subsimplex_volume_fractions,
 )
-from .cli import RunManifest
 from .harness import (
     ChiSquareResult,
     ConvergenceReport,
@@ -85,6 +86,7 @@ __all__ = [
     "ImpossibleOutcomeError",
     "InvalidMembranePointError",
     "InvalidStateError",
+    "MeasurementPlan",
     "MeasurementSimplex",
     "MembraneModel",
     "Observable",
@@ -92,7 +94,6 @@ __all__ = [
     "OracleMismatchError",
     "PureState",
     "RandomSource",
-    "RunManifest",
     "StateValidity",
     "barycentric_coordinates",
     "bloch_to_density",
@@ -109,6 +110,7 @@ __all__ = [
     "generator_basis",
     "is_valid_state",
     "luders_posterior",
+    "prepare_measurement",
     "project_onto_membrane",
     "pure_to_density",
     "run_measurement",

@@ -16,10 +16,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .bloch import pure_to_density
-from .dynamics import RandomSource, run_measurement
+from .dynamics import ORACLE_TOL, RandomSource, run_measurement
 from .errors import ConfigError, HmSimError
 from .harness import (
     ExperimentConfig,
@@ -44,33 +43,6 @@ from .serialize import (
 DEFAULT_SEED = 0xB10C
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything that defines one CLI run's output.
-
-    Exactly one of ``config_path`` / ``inline`` is set; the seed defaults to
-    the fixed constant 0xB10C, never to wall-clock time, so identical
-    manifests produce byte-identical output files.  ``workers`` is a hint
-    that never influences results.
-    """
-
-    command: str
-    config_path: str | None
-    inline: dict | None
-    output_format: str
-    output_path: str | None
-    master_seed: int
-    workers: int
-
-    def __post_init__(self):
-        if (self.config_path is None) == (self.inline is None):
-            raise ConfigError(
-                "exactly one of config file / inline parameters must be given"
-            )
-        if self.output_format not in ("json", "csv"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
-
-
 def resolve_seed(cli_seed: int | None, config_seed: int | None = None) -> int:
     """--seed beats the config seed, which beats HM_SIM_SEED, then 0xB10C."""
     if cli_seed is not None:
@@ -87,7 +59,7 @@ def resolve_seed(cli_seed: int | None, config_seed: int | None = None) -> int:
 
 
 def _require_exclusive_config(args, inline_names: list[str]) -> dict | None:
-    """Enforce the manifest rule: a config file XOR inline parameters."""
+    """Enforce the run rule: a config file XOR inline parameters."""
     explicit = [n for n in inline_names if getattr(args, n.replace("-", "_")) is not None]
     if args.config is not None:
         if explicit:
@@ -105,7 +77,7 @@ def _require_exclusive_config(args, inline_names: list[str]) -> dict | None:
     return None
 
 
-def _spin_machine(args) -> tuple[RunManifest, dict, bool]:
+def _spin_machine(args) -> tuple[dict, bool]:
     cfg = _require_exclusive_config(args, ["angle", "trials"])
     angle = args.angle if cfg is None else cfg.get("angle")
     trials = args.trials if cfg is None else cfg.get("trials")
@@ -115,7 +87,6 @@ def _spin_machine(args) -> tuple[RunManifest, dict, bool]:
     if not 0.0 <= angle <= math.pi:
         raise ConfigError(f"angle must lie in [0, pi], got {angle}")
     seed = resolve_seed(args.seed, None if cfg is None else cfg.get("seed"))
-    manifest = _manifest(args, {"angle": angle, "trials": trials}, seed)
 
     config = ExperimentConfig(
         dimension=2,
@@ -134,10 +105,10 @@ def _spin_machine(args) -> tuple[RunManifest, dict, bool]:
         "closed_form": [math.cos(angle / 2) ** 2, math.sin(angle / 2) ** 2],
     }
     payload = envelope("spin-machine", seed, report.passed, meta, [entry])
-    return manifest, payload, report.passed
+    return payload, report.passed
 
 
-def _verify_born(args) -> tuple[RunManifest, dict, bool]:
+def _verify_born(args) -> tuple[dict, bool]:
     cfg = _require_exclusive_config(args, ["dimension", "states", "trials"])
     dim = args.dimension if cfg is None else cfg.get("dimension")
     states = args.states if cfg is None else cfg.get("states")
@@ -148,8 +119,9 @@ def _verify_born(args) -> tuple[RunManifest, dict, bool]:
         raise ConfigError(f"dimension must be 2..8, got {dim}")
     states = 100 if states is None else int(states)
     trials = 10000 if trials is None else int(trials)
+    if states < 1:
+        raise ConfigError(f"states must be >= 1, got {states}")
     seed = resolve_seed(args.seed, None if cfg is None else cfg.get("seed"))
-    manifest = _manifest(args, {"dimension": dim, "states": states, "trials": trials}, seed)
 
     source = RandomSource(seed)
     entries = []
@@ -174,15 +146,14 @@ def _verify_born(args) -> tuple[RunManifest, dict, bool]:
             master_seed=seed,
         )
         report = simulate_statistics(config, job=i, workers=args.workers)
-        ok = report.passed and gap <= 1e-9
-        all_pass = all_pass and ok
+        all_pass = all_pass and report.passed
         entries.append(report_entry(f"state-{i:03d}", report, analytic_max_gap=gap))
     meta = {"dimension": dim, "states": states, "trials": trials,
-            "analytic_tolerance": 1e-9}
-    return manifest, envelope("verify-born", seed, all_pass, meta, entries), all_pass
+            "analytic_tolerance": ORACLE_TOL}
+    return envelope("verify-born", seed, all_pass, meta, entries), all_pass
 
 
-def _die(args) -> tuple[RunManifest, dict, bool]:
+def _die(args) -> tuple[dict, bool]:
     cfg = _require_exclusive_config(args, ["rolls", "start"])
     rolls = args.rolls if cfg is None else cfg.get("rolls")
     start = args.start if cfg is None else cfg.get("start")
@@ -205,7 +176,6 @@ def _die(args) -> tuple[RunManifest, dict, bool]:
             f"start must be 'off_table' or 'on_table:K' (K in 1..6), got {start!r}"
         )
     seed = resolve_seed(args.seed, None if cfg is None else cfg.get("seed"))
-    manifest = _manifest(args, {"rolls": rolls, "start": start}, seed)
 
     config = ExperimentConfig(
         dimension=6,
@@ -218,15 +188,14 @@ def _die(args) -> tuple[RunManifest, dict, bool]:
     report = simulate_statistics(config, workers=args.workers)
     meta = {"rolls": rolls, "start": start}
     entry = report_entry("die", report)
-    return manifest, envelope("die", seed, report.passed, meta, [entry]), report.passed
+    return envelope("die", seed, report.passed, meta, [entry]), report.passed
 
 
-def _universal_average(args) -> tuple[RunManifest, dict, bool]:
+def _universal_average(args) -> tuple[dict, bool]:
     if args.config is None:
         raise ConfigError("universal-average requires --config")
     cfg = _require_exclusive_config(args, [])
     seed = resolve_seed(args.seed, cfg.get("seed"))
-    manifest = _manifest(args, None, seed)
     report = universal_average_experiment(
         dimension=int(cfg["dimension"]),
         state=cfg["state"],
@@ -247,17 +216,16 @@ def _universal_average(args) -> tuple[RunManifest, dict, bool]:
     }
     entry = report_entry("grand-average", report)
     payload = envelope("universal-average", seed, report.passed, meta, [entry])
-    return manifest, payload, report.passed
+    return payload, report.passed
 
 
-def _measure(args) -> tuple[RunManifest, dict, bool]:
+def _measure(args) -> tuple[dict, bool]:
     if args.config is None:
         raise ConfigError("measure requires --config")
     cfg = _require_exclusive_config(args, [])
     if args.format == "csv":
         raise ConfigError("measure emits a collapse trace; only json is supported")
     seed = resolve_seed(args.seed, cfg.get("seed"))
-    manifest = _manifest(args, None, seed)
     dim = int(cfg["dimension"])
     state = resolve_state_spec(cfg["state"], dim)
     observable = resolve_observable_spec(cfg["observable"], dim)
@@ -267,7 +235,7 @@ def _measure(args) -> tuple[RunManifest, dict, bool]:
     )
     meta = {"dimension": dim}
     payload = envelope("measure", seed, True, meta, [], trace=trace_to_json(trace))
-    return manifest, payload, True
+    return payload, True
 
 
 _HANDLERS = {
@@ -323,40 +291,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest(args, inline: dict | None, seed: int) -> RunManifest:
-    return RunManifest(
-        command=args.command,
-        config_path=args.config,
-        inline=None if args.config is not None else (inline or {}),
-        output_format=args.format,
-        output_path=args.out,
-        master_seed=seed,
-        workers=args.workers,
-    )
-
-
-def _emit(payload: dict, manifest: RunManifest) -> None:
-    if manifest.output_format == "csv":
+def _emit(payload: dict, args) -> None:
+    if args.format == "csv":
         text = csv_from_entries(payload["reports"])
     else:
         validate_report_payload(payload)
         text = dumps_canonical(payload)
-    if manifest.output_path is None:
+    if args.out is None:
         sys.stdout.write(text)
-    else:
-        with open(manifest.output_path, "w", encoding="utf-8", newline="\n") as handle:
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {args.out}: {err.strerror}") from err
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        manifest, payload, passed = _HANDLERS[args.command](args)
-        _emit(payload, manifest)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        payload, passed = _HANDLERS[args.command](args)
+        _emit(payload, args)
     except HmSimError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -35,13 +35,20 @@ from .bloch import (
     pure_to_density,
     _frozen,
 )
-from .errors import ConfigError, DimensionError, ImpossibleOutcomeError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    ImpossibleOutcomeError,
+    OracleMismatchError,
+)
 from .geometry import (
     MeasurementSimplex,
     Observable,
     barycentric_coordinates,
+    born_probabilities,
     build_measurement_simplex,
     canonical_observable,
+    classify_weights,
     project_onto_membrane,
     spin_observable,
     _orthonormal_frame,
@@ -49,6 +56,7 @@ from .geometry import (
 
 VERTEX_TOL = 1e-10      # a state this close to a vertex is that eigenstate
 MIN_BLOCK_PROB = 1e-14  # sampling an outcome below this signals a bug
+ORACLE_TOL = 1e-9       # max gap between the geometric and Born probabilities
 
 # Stream-domain tags keep trial, chunk and membrane draws independent.
 _DOMAIN_TRIAL = 0
@@ -176,28 +184,38 @@ def _cellular_weights(
     return np.column_stack([w0, rest])
 
 
-def _sample_break_weights(
-    simplex: MeasurementSimplex, model: MembraneModel, rng: np.random.Generator
-) -> tuple[np.ndarray, int | None]:
-    """One breaking point as barycentric weights, plus the vertex index when
-    the membrane is solipsistic (it can only break at vertices)."""
-    n = simplex.dimension
+def draw_breaks(
+    model: MembraneModel, u: np.ndarray, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Draw ``count`` membrane breaks; return their outcomes and weights.
+
+    ``u`` holds the barycentric weights of the landed state point.  The
+    outcomes are elementary outcome indices, the weights the (count, N)
+    barycentric weights of the breaking points.  A solipsistic membrane
+    breaks only at vertices, and a break at a vertex sits on every tension
+    line at once; the solipsistic law resolves it to that vertex's own
+    outcome, which is what makes the die faces equiprobable.  It builds no
+    weight array and returns None for the weights.
+    """
+    n = len(u)
     if model.kind == "solipsistic":
-        j = int(rng.integers(n))
-        w = np.zeros(n)
-        w[j] = 1.0
-        return w, j
+        return rng.integers(0, n, size=count), None
     if model.kind == "cellular":
-        return _cellular_weights(rng, 1, n, model)[0], None
-    return _uniform_weights(rng, 1, n)[0], None
+        v = _cellular_weights(rng, count, n, model)
+    else:
+        v = _uniform_weights(rng, count, n)
+    return classify_weights(v, u), v
 
 
 def sample_breaking_point(
     simplex: MeasurementSimplex, model: MembraneModel, rng: np.random.Generator
 ) -> BlochVector:
     """Draw one membrane breaking point according to the membrane model."""
-    w, _ = _sample_break_weights(simplex, model, rng)
-    return BlochVector(simplex.dimension, simplex.from_barycentric(w))
+    n = simplex.dimension
+    # Where the membrane breaks does not depend on the landed point.
+    outcomes, weights = draw_breaks(model, np.full(n, 1.0 / n), 1, rng)
+    w = np.eye(n)[outcomes[0]] if weights is None else weights[0]
+    return BlochVector(n, simplex.from_barycentric(w))
 
 
 # --- the measurement process -------------------------------------------------
@@ -223,11 +241,57 @@ class CollapseTrace:
     polar_angle: float | None = None
 
 
-def _classify_fast(v: np.ndarray, u: np.ndarray) -> int:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = v / u
-    ratios[u == 0.0] = np.inf
-    return int(np.argmin(ratios))
+@dataclass(frozen=True)
+class MeasurementPlan:
+    """One measurement of a state, prepared once and shared by every trial.
+
+    ``bloch`` is the state point, ``on_membrane`` where it lands on the
+    simplex, and ``u`` the barycentric weights of the landed point, which
+    are the Born probabilities.  ``oracle_gap`` is the measured max gap
+    between ``u`` and Tr(D P_i).  ``at_vertex`` is the index of the
+    eigenstate the state sits on (within VERTEX_TOL), else None.  The plan
+    is read-only and shareable across worker threads.
+    """
+
+    simplex: MeasurementSimplex
+    bloch: BlochVector
+    on_membrane: BlochVector
+    u: np.ndarray
+    at_vertex: int | None
+    oracle_gap: float
+
+
+def prepare_measurement(
+    state: DensityOperator,
+    observable: Observable,
+    simplex: MeasurementSimplex | None = None,
+) -> MeasurementPlan:
+    """Land the state on the observable's membrane and check the Born rule.
+
+    ``simplex`` reuses the observable's prebuilt simplex.  The weights of
+    the landed point come from the membrane geometry (projection and a
+    linear solve) and are checked once against the Hilbert-space oracle
+    Tr(D P_i); a gap above ORACLE_TOL raises OracleMismatchError, since the
+    two routes agree for every state and a correct simplex.
+    """
+    n = state.dimension
+    if observable.dimension != n:
+        raise DimensionError("state and observable dimensions differ")
+    basis = generator_basis(n)
+    if simplex is None:
+        simplex = build_measurement_simplex(observable, basis)
+    r = density_to_bloch(state, basis)
+    on_membrane = project_onto_membrane(r, simplex)
+    u = barycentric_coordinates(on_membrane, simplex).weights
+    born = born_probabilities(state, observable).weights
+    gap = float(np.max(np.abs(born - u)))
+    if gap > ORACLE_TOL:
+        raise OracleMismatchError(
+            f"geometric and Hilbert-space probabilities differ by {gap:.3e}"
+        )
+    vertex_dist = np.linalg.norm(simplex.vertices - r.coordinates, axis=1)
+    at_vertex = int(np.argmin(vertex_dist)) if vertex_dist.min() <= VERTEX_TOL else None
+    return MeasurementPlan(simplex, r, on_membrane, u, at_vertex, gap)
 
 
 def _project_onto_face(
@@ -272,36 +336,19 @@ def run_measurement(
     the process a measurement of the first kind.
     """
     n = state.dimension
-    if observable.dimension != n:
-        raise DimensionError("state and observable dimensions differ")
-    basis = generator_basis(n)
-    if simplex is None:
-        simplex = build_measurement_simplex(observable, basis)
-    r = density_to_bloch(state, basis)
-    on_membrane = project_onto_membrane(r, simplex)
-
-    vertex_dist = np.linalg.norm(simplex.vertices - r.coordinates, axis=1)
-    at_vertex = int(np.argmin(vertex_dist)) if vertex_dist.min() <= VERTEX_TOL else None
-
-    if at_vertex is not None:
-        elementary = at_vertex
-        break_w = np.zeros(n)
-        break_w[elementary] = 1.0
+    plan = prepare_measurement(state, observable, simplex)
+    simplex, r = plan.simplex, plan.bloch
+    if plan.at_vertex is not None:
+        elementary, weights = plan.at_vertex, None
     else:
-        break_w, solipsistic_vertex = _sample_break_weights(simplex, model, rng)
-        if solipsistic_vertex is not None:
-            # A break at a vertex sits on every tension line at once; the
-            # solipsistic law resolves it to that vertex's own outcome, which
-            # is what makes the die faces equiprobable.
-            elementary = solipsistic_vertex
-        else:
-            u = barycentric_coordinates(on_membrane, simplex).weights
-            elementary = _classify_fast(break_w, u)
+        outcomes, weights = draw_breaks(model, plan.u, 1, rng)
+        elementary = int(outcomes[0])
+    break_w = np.eye(n)[elementary] if weights is None else weights[0]
 
     block = observable.block_of(elementary)
-    intermediate = _project_onto_face(on_membrane.coordinates, simplex, block)
+    intermediate = _project_onto_face(plan.on_membrane.coordinates, simplex, block)
     posterior = luders_posterior(state, observable, block)
-    final = density_to_bloch(posterior, basis)
+    final = density_to_bloch(posterior, generator_basis(n))
 
     polar = None
     if n == 2:
@@ -314,7 +361,7 @@ def run_measurement(
 
     trace = CollapseTrace(
         initial_state=r,
-        on_membrane_point=on_membrane,
+        on_membrane_point=plan.on_membrane,
         breaking_point=BlochVector(n, simplex.from_barycentric(break_w)),
         outcome_block=block,
         outcome_label=observable.eigenvalue_labels[block[0]],

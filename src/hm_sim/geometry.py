@@ -202,10 +202,6 @@ class MeasurementSimplex:
             self, "local_vertices", _frozen((v - v[0]) @ frame)
         )
 
-    @property
-    def vertex_vectors(self) -> tuple[BlochVector, ...]:
-        return tuple(BlochVector(self.dimension, row) for row in self.vertices)
-
     def to_local(self, point: np.ndarray) -> np.ndarray:
         return (np.asarray(point, dtype=float) - self.vertices[0]) @ self.frame
 
@@ -347,25 +343,33 @@ def subsimplex_volume_fractions(
     return BarycentricCoordinates.clamped(fractions / fractions.sum())
 
 
+def classify_weights(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome indices of breaking points given as barycentric weights.
+
+    ``v`` holds the weights of one breaking point, or one per row; ``u``
+    those of the landed state point p.  Breaking inside sub-simplex i
+    (anchored at p and the vertices other than n_i) tears those anchors away
+    and the membrane contracts to n_i.  Membership in sub-simplex i is
+    equivalent to v_i / u_i <= v_j / u_j for all j, so the outcome is the
+    argmin of the ratios along the last axis; numpy's argmin takes the first
+    minimum, so on tension lines (ties) the lowest index wins.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = v / u
+    # A zero weight of p means the sub-simplex is a measure-zero sliver the
+    # membrane cannot tear into; never classify there.
+    zero = u == 0.0
+    if zero.any():
+        ratios[..., zero] = np.inf
+    return np.argmin(ratios, axis=-1)
+
+
 def classify_breaking_point(
     breaking_point: BlochVector,
     on_membrane: BlochVector,
     simplex: MeasurementSimplex,
 ) -> int:
-    """Outcome index of a membrane breaking point.
-
-    Breaking inside sub-simplex i (anchored at the landed state point p and
-    the vertices other than n_i) tears those anchors away and the membrane
-    contracts to n_i.  Writing v, u for the barycentric weights of the
-    breaking point and of p, membership in sub-simplex i is equivalent to
-    v_i / u_i <= v_j / u_j for all j, so the outcome is the argmin of the
-    ratios; on tension lines (ties) the lowest index wins.
-    """
+    """Outcome index of a membrane breaking point (see ``classify_weights``)."""
     v = barycentric_coordinates(breaking_point, simplex).weights
     u = barycentric_coordinates(on_membrane, simplex).weights
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = v / u
-    # A zero weight of p means the sub-simplex is a measure-zero sliver the
-    # membrane cannot tear into; never classify there.
-    ratios[u == 0.0] = np.inf
-    return int(np.argmin(ratios))
+    return int(classify_weights(v, u))

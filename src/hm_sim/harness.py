@@ -28,34 +28,28 @@ from .bloch import (
     DensityOperator,
     PureState,
     bloch_to_density,
-    density_to_bloch,
+    density_to_bloch,  # noqa: F401  (the benchmark tracer patches this binding)
     generator_basis,
     pure_to_density,
 )
 from .dynamics import (
+    MeasurementPlan,
     MembraneModel,
     RandomSource,
-    VERTEX_TOL,
-    _cellular_weights,
-    _uniform_weights,
+    draw_breaks,
+    prepare_measurement,
 )
 from .errors import ConfigError, DimensionError, OracleMismatchError
 from .geometry import (
-    MeasurementSimplex,
     Observable,
-    barycentric_coordinates,
     born_probabilities,
-    build_measurement_simplex,
     canonical_observable,
-    project_onto_membrane,
     spin_observable,
 )
 
 # Trials per chunk.  Fixed: chunk boundaries define the random streams, so
 # changing this constant changes results, but worker counts never do.
 CHUNK_TRIALS = 8192
-
-ORACLE_TOL = 1e-9
 
 
 # --- experiment specification -------------------------------------------------
@@ -82,9 +76,12 @@ def resolve_state_spec(spec: dict, dimension: int) -> DensityOperator:
         if name == "maximally_mixed":
             return DensityOperator.maximally_mixed(dimension)
         if name == "basis":
-            return pure_to_density(
-                PureState.basis_state(dimension, int(spec["index"]))
-            )
+            index = int(spec["index"])
+            if not 0 <= index < dimension:
+                raise ConfigError(
+                    f"basis index must be 0..{dimension - 1}, got {index}"
+                )
+            return pure_to_density(PureState.basis_state(dimension, index))
         raise ConfigError(f"unknown state preset {name!r}")
     raise ConfigError(f"unknown state kind {kind!r}")
 
@@ -154,37 +151,6 @@ class ExperimentConfig:
 # --- vectorized sampling -------------------------------------------------------
 
 
-def _classify_batch(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized breaking-point classification: argmin of v_i / u_i.
-
-    numpy's argmin takes the first minimum, which is exactly the
-    lowest-index tie-break used on tension lines.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = weights / u
-    if np.any(u == 0.0):
-        ratios[:, u == 0.0] = np.inf
-    return np.argmin(ratios, axis=1)
-
-
-def _chunk_outcomes(
-    simplex_dimension: int,
-    model: MembraneModel,
-    u: np.ndarray,
-    count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    n = simplex_dimension
-    if model.kind == "solipsistic":
-        # Breaks only at vertices; a break at vertex j actualizes outcome j.
-        return rng.integers(0, n, size=count)
-    if model.kind == "cellular":
-        v = _cellular_weights(rng, count, n, model)
-    else:
-        v = _uniform_weights(rng, count, n)
-    return _classify_batch(v, u)
-
-
 def sample_elementary_outcomes(
     state: DensityOperator,
     observable: Observable,
@@ -193,33 +159,27 @@ def sample_elementary_outcomes(
     source: RandomSource,
     job: int = 0,
     workers: int = 1,
-    simplex: MeasurementSimplex | None = None,
+    plan: MeasurementPlan | None = None,
 ) -> np.ndarray:
     """Outcome indices of ``trials`` independent membrane measurements.
 
     ``job`` namespaces the random streams so distinct experiment parts sharing
     one master seed stay independent.  ``workers`` only affects wall time.
+    ``plan`` is a prepared measurement of (state, observable) to reuse;
+    without one the sampler prepares its own.
     """
-    n = state.dimension
-    basis = generator_basis(n)
-    if simplex is None:
-        simplex = build_measurement_simplex(observable, basis)
-    r = density_to_bloch(state, basis)
-
-    dists = np.linalg.norm(simplex.vertices - r.coordinates, axis=1)
-    if dists.min() <= VERTEX_TOL:
+    if plan is None:
+        plan = prepare_measurement(state, observable)
+    if plan.at_vertex is not None:
         # Eigenstate input: that outcome occurs with certainty under every
         # membrane model (first-kind condition).
-        return np.full(trials, int(np.argmin(dists)), dtype=np.int64)
-
-    on_membrane = project_onto_membrane(r, simplex)
-    u = barycentric_coordinates(on_membrane, simplex).weights
+        return np.full(trials, plan.at_vertex, dtype=np.int64)
 
     chunk_ids = range((trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
 
     def run_chunk(c: int) -> np.ndarray:
         count = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
-        return _chunk_outcomes(n, model, u, count, source.chunk_stream(job, c))
+        return draw_breaks(model, plan.u, count, source.chunk_stream(job, c))[0]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -227,26 +187,6 @@ def sample_elementary_outcomes(
     else:
         parts = [run_chunk(c) for c in chunk_ids]
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
-def _oracle_probabilities(
-    state: DensityOperator,
-    observable: Observable,
-    simplex: MeasurementSimplex,
-) -> np.ndarray:
-    """Born probabilities, cross-checked against the membrane geometry."""
-    born = born_probabilities(state, observable).weights
-    basis = generator_basis(state.dimension)
-    r = density_to_bloch(state, basis)
-    geometric = barycentric_coordinates(
-        project_onto_membrane(r, simplex), simplex
-    ).weights
-    gap = float(np.max(np.abs(born - geometric)))
-    if gap > ORACLE_TOL:
-        raise OracleMismatchError(
-            f"geometric and Hilbert-space probabilities differ by {gap:.3e}"
-        )
-    return born
 
 
 # --- statistics ----------------------------------------------------------------
@@ -335,14 +275,17 @@ class ConvergenceReport:
             raise OracleMismatchError("empirical frequencies must sum to 1")
 
 
-def _block_structure(observable: Observable):
+def _block_structure(state: DensityOperator, observable: Observable):
+    """Block labels, the elementary-to-block index map and Born block weights."""
     blocks = observable.degeneracy_partition
     labels = tuple(observable.eigenvalue_labels[b[0]] for b in blocks)
     elem_to_block = np.empty(observable.dimension, dtype=np.int64)
     for bi, block in enumerate(blocks):
         for i in block:
             elem_to_block[i] = bi
-    return blocks, labels, elem_to_block
+    born = born_probabilities(state, observable).weights
+    oracle_blocks = np.array([born[list(b)].sum() for b in blocks])
+    return labels, elem_to_block, oracle_blocks
 
 
 def _block_counts(outcomes: np.ndarray, elem_to_block: np.ndarray, n_blocks: int):
@@ -386,17 +329,13 @@ def simulate_statistics(
 ) -> ConvergenceReport:
     """Run the configured experiment and compare frequencies to the oracle."""
     state, observable, model = config.resolve()
-    basis = generator_basis(config.dimension)
-    simplex = build_measurement_simplex(observable, basis)
-    oracle_elem = _oracle_probabilities(state, observable, simplex)
-    blocks, labels, elem_to_block = _block_structure(observable)
-    oracle_blocks = np.array([oracle_elem[list(b)].sum() for b in blocks])
+    labels, elem_to_block, oracle_blocks = _block_structure(state, observable)
 
     source = RandomSource(config.master_seed)
     outcomes = sample_elementary_outcomes(
-        state, observable, model, config.trials, source, job, workers, simplex
+        state, observable, model, config.trials, source, job, workers
     )
-    counts = _block_counts(outcomes, elem_to_block, len(blocks))
+    counts = _block_counts(outcomes, elem_to_block, len(labels))
     sigma = np.sqrt(oracle_blocks * (1 - oracle_blocks) / config.trials)
     chi = chi_square_check(counts, oracle_blocks)
     return _band_report(
@@ -463,9 +402,9 @@ def universal_average_experiment(
     the cells are equal-measure, so the grand average must satisfy the Born
     bands even though individual membranes need not.
 
-    ``fixed_cell_weights`` pins every membrane to one explicit weight vector
-    instead (used to exhibit adversarial non-uniform membranes); the report
-    then uses plain binomial statistics.
+    ``fixed_cell_weights`` pins every membrane to one explicit weight vector,
+    one weight per cell, instead (used to exhibit adversarial non-uniform
+    membranes); the report then uses plain binomial statistics.
     """
     if cell_count < 1:
         raise ConfigError("cell_count must be >= 1")
@@ -473,14 +412,16 @@ def universal_average_experiment(
         raise ConfigError("membrane_samples must be >= 1")
     if trials_per_membrane < 1:
         raise ConfigError("trials_per_membrane must be >= 1")
+    if fixed_cell_weights is not None and len(fixed_cell_weights) != cell_count:
+        raise ConfigError(
+            f"fixed_cell_weights has {len(fixed_cell_weights)} entries "
+            f"for {cell_count} cells"
+        )
 
     state_op = resolve_state_spec(state, dimension)
     observable_op = resolve_observable_spec(observable, dimension)
-    basis = generator_basis(dimension)
-    simplex = build_measurement_simplex(observable_op, basis)
-    oracle_elem = _oracle_probabilities(state_op, observable_op, simplex)
-    blocks, labels, elem_to_block = _block_structure(observable_op)
-    oracle_blocks = np.array([oracle_elem[list(b)].sum() for b in blocks])
+    plan = prepare_measurement(state_op, observable_op)
+    labels, elem_to_block, oracle_blocks = _block_structure(state_op, observable_op)
 
     source = RandomSource(master_seed)
     k, n = membrane_samples, trials_per_membrane
@@ -492,15 +433,15 @@ def universal_average_experiment(
         # plain uniform-membrane experiment with k*n trials.
         outcomes = sample_elementary_outcomes(
             state_op, observable_op, MembraneModel.uniform(), total, source,
-            job=0, workers=workers, simplex=simplex,
+            job=0, workers=workers, plan=plan,
         )
         per_membrane = outcomes.reshape(k, n)
         counts_matrix = np.stack(
-            [_block_counts(row, elem_to_block, len(blocks)) for row in per_membrane]
+            [_block_counts(row, elem_to_block, len(labels)) for row in per_membrane]
         )
         random_weights = False
     else:
-        counts_matrix = np.empty((k, len(blocks)), dtype=np.int64)
+        counts_matrix = np.empty((k, len(labels)), dtype=np.int64)
         random_weights = fixed_cell_weights is None
         for i in range(k):
             if fixed_cell_weights is not None:
@@ -511,9 +452,9 @@ def universal_average_experiment(
             model = MembraneModel.cellular(weights)
             outcomes = sample_elementary_outcomes(
                 state_op, observable_op, model, n, source,
-                job=i, workers=workers, simplex=simplex,
+                job=i, workers=workers, plan=plan,
             )
-            counts_matrix[i] = _block_counts(outcomes, elem_to_block, len(blocks))
+            counts_matrix[i] = _block_counts(outcomes, elem_to_block, len(labels))
 
     counts = counts_matrix.sum(axis=0)
     binomial_sigma = np.sqrt(oracle_blocks * (1 - oracle_blocks) / total)
@@ -554,11 +495,8 @@ def random_pure_state(source: RandomSource, index: int, dimension: int) -> PureS
 def born_identity_max_gap(
     state: DensityOperator, observable: Observable
 ) -> float:
-    """Max componentwise gap between the geometric and Born probabilities."""
-    basis = generator_basis(state.dimension)
-    simplex = build_measurement_simplex(observable, basis)
-    born = born_probabilities(state, observable).weights
-    geometric = barycentric_coordinates(
-        project_onto_membrane(density_to_bloch(state, basis), simplex), simplex
-    ).weights
-    return float(np.max(np.abs(born - geometric)))
+    """Max componentwise gap between the geometric and Born probabilities.
+
+    A gap above ``dynamics.ORACLE_TOL`` raises OracleMismatchError instead.
+    """
+    return prepare_measurement(state, observable).oracle_gap

@@ -14,10 +14,8 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
-from .bloch import DensityOperator, PureState
 from .dynamics import CollapseTrace
 from .errors import ConfigError
-from .geometry import Observable
 from .harness import ConvergenceReport
 
 SCHEMA_VERSION = "1"
@@ -48,42 +46,6 @@ def dumps_canonical(payload: dict) -> str:
 
 
 # --- domain objects ------------------------------------------------------------
-
-
-def density_to_json(state: DensityOperator) -> dict:
-    return {
-        "dimension": state.dimension,
-        "re": state.matrix.real.tolist(),
-        "im": state.matrix.imag.tolist(),
-    }
-
-
-def density_from_json(doc: dict) -> DensityOperator:
-    m = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    return DensityOperator(int(doc["dimension"]), m)
-
-
-def observable_to_json(observable: Observable) -> dict:
-    return {
-        "dimension": observable.dimension,
-        "eigenstates": [
-            {"re": s.amplitudes.real.tolist(), "im": s.amplitudes.imag.tolist()}
-            for s in observable.eigenstates
-        ],
-        "eigenvalue_labels": list(observable.eigenvalue_labels),
-    }
-
-
-def observable_from_json(doc: dict) -> Observable:
-    n = int(doc["dimension"])
-    states = tuple(
-        PureState(
-            n,
-            np.asarray(s["re"], dtype=float) + 1j * np.asarray(s["im"], dtype=float),
-        )
-        for s in doc["eigenstates"]
-    )
-    return Observable(n, states, tuple(float(x) for x in doc["eigenvalue_labels"]))
 
 
 def trace_to_json(trace: CollapseTrace) -> dict:

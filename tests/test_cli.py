@@ -287,3 +287,67 @@ def test_malformed_config_gives_field_diagnostics(tmp_path, capsys):
     code, _, err = run_cli(capsys, "universal-average", "--config", str(cfg))
     assert code == 2
     assert "cells" in err
+
+
+def _measure_config(**overrides):
+    cfg = {
+        "schema_version": "1",
+        "experiment": "measure",
+        "dimension": 2,
+        "state": {"kind": "bloch", "coordinates": [1.0, 0.0, 0.0]},
+        "observable": {"kind": "canonical"},
+        "membrane": {"kind": "uniform"},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "config, out",
+    [
+        (_measure_config(state={"kind": "pure", "im": [0.0, 0.0]}), None),
+        (_measure_config(state={"kind": "preset", "name": "basis"}), None),
+        (_measure_config(state={"kind": "preset", "name": "basis", "index": 2}), None),
+        (_measure_config(membrane={"kind": "cellular"}), None),
+        (_measure_config(), "missing-dir/out.json"),
+    ],
+    ids=["pure-without-re", "basis-without-index", "basis-index-out-of-range",
+         "cellular-without-weights", "out-into-missing-dir"],
+)
+def test_schema_valid_bad_inputs_exit_2_without_traceback(tmp_path, capsys, config, out):
+    cfg = tmp_path / "measure.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["measure", "--config", str(cfg)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_fixed_cell_weights_must_match_cells(tmp_path, capsys):
+    cfg = tmp_path / "ua.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "schema_version": "1",
+                "experiment": "universal-average",
+                "dimension": 2,
+                "state": {"kind": "bloch", "coordinates": [0.6, 0.0, 0.8]},
+                "observable": {"kind": "canonical"},
+                "cells": 5,
+                "membranes": 2,
+                "trials_per_membrane": 100,
+                "fixed_cell_weights": [0.5, 0.5],
+            }
+        )
+    )
+    code, _, err = run_cli(capsys, "universal-average", "--config", str(cfg))
+    assert code == 2
+    assert "fixed_cell_weights" in err
+
+
+def test_verify_born_rejects_zero_states(capsys):
+    code, _, err = run_cli(capsys, "verify-born", "--dimension", "3", "--states", "0")
+    assert code == 2
+    assert "states" in err

@@ -23,11 +23,12 @@ from hm_sim.dynamics import (
     die_observable,
     die_state,
     luders_posterior,
+    prepare_measurement,
     run_measurement,
     sample_breaking_point,
     spin_machine_measure,
 )
-from hm_sim.errors import ConfigError, ImpossibleOutcomeError
+from hm_sim.errors import ConfigError, ImpossibleOutcomeError, OracleMismatchError
 from hm_sim.geometry import (
     Observable,
     barycentric_coordinates,
@@ -35,6 +36,7 @@ from hm_sim.geometry import (
     build_measurement_simplex,
     canonical_observable,
     project_onto_membrane,
+    spin_observable,
 )
 
 
@@ -303,8 +305,9 @@ def test_full_pipeline_on_random_eigenbasis():
     d = pure_to_density(random_pure(rng, n))
     simplex = build_measurement_simplex(obs, build_generator_basis(n))
 
+    plan = prepare_measurement(d, obs, simplex)
     outcomes = sample_elementary_outcomes(
-        d, obs, MembraneModel.uniform(), 100000, RandomSource(41), simplex=simplex
+        d, obs, MembraneModel.uniform(), 100000, RandomSource(41), plan=plan
     )
     born = born_probabilities(d, obs).weights
     freq = np.bincount(outcomes, minlength=n) / len(outcomes)
@@ -330,6 +333,26 @@ def test_impossible_outcome_raises():
     d = pure_to_density(PureState.basis_state(3, 0))
     with pytest.raises(ImpossibleOutcomeError):
         luders_posterior(d, obs, (1,))
+
+
+def test_plan_with_another_observables_simplex_fails_the_oracle():
+    d = pure_to_density(PureState.basis_state(2, 0))
+    tilted = spin_observable([1.0, 0.0, 1.0])
+    prepare_measurement(d, tilted)
+    with pytest.raises(OracleMismatchError):
+        prepare_measurement(d, tilted, make_simplex(2))
+
+
+def test_born_identity_max_gap_is_the_plans_gap():
+    from hm_sim.harness import born_identity_max_gap
+
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 5):
+        d = random_density(rng, n)
+        obs = canonical_observable(n)
+        plan = prepare_measurement(d, obs)
+        assert plan.oracle_gap <= 1e-9
+        assert born_identity_max_gap(d, obs) == plan.oracle_gap
 
 
 def test_spin_machine_probabilities():

@@ -1,4 +1,4 @@
-"""JSON/CSV emission, schema validation, round trips."""
+"""JSON/CSV emission and schema validation."""
 
 import json
 import math
@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_density, random_pure
+from helpers import random_pure
 
 from hm_sim.bloch import pure_to_density
 from hm_sim.dynamics import MembraneModel, RandomSource, run_measurement
@@ -15,13 +15,9 @@ from hm_sim.geometry import canonical_observable
 from hm_sim.harness import ExperimentConfig, simulate_statistics
 from hm_sim.serialize import (
     csv_from_entries,
-    density_from_json,
-    density_to_json,
     dumps_canonical,
     envelope,
     load_config_file,
-    observable_from_json,
-    observable_to_json,
     report_entry,
     sig12,
     trace_to_json,
@@ -34,28 +30,6 @@ def test_sig12_rounding():
     assert sig12(0.7499999999999998) == 0.75
     assert sig12(1 / 3) == 0.333333333333
     assert sig12(0.0) == 0.0
-
-
-def test_density_json_round_trip():
-    rng = np.random.default_rng(1)
-    for n in (2, 3, 5):
-        d = random_density(rng, n)
-        doc = density_to_json(d)
-        assert set(doc) == {"dimension", "re", "im"}
-        back = density_from_json(doc)
-        np.testing.assert_allclose(back.matrix, d.matrix, atol=1e-15)
-
-
-def test_observable_json_round_trip():
-    rng = np.random.default_rng(2)
-    obs = canonical_observable(4, (1.0, 2.0, 1.0, 3.0))
-    doc = observable_to_json(obs)
-    assert set(doc) == {"dimension", "eigenstates", "eigenvalue_labels"}
-    back = observable_from_json(doc)
-    assert back.eigenvalue_labels == obs.eigenvalue_labels
-    assert back.degeneracy_partition == obs.degeneracy_partition
-    for a, b in zip(back.eigenstates, obs.eigenstates):
-        assert a.equivalent_to(b)
 
 
 def test_trace_json_is_schema_shaped():
