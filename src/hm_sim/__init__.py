@@ -10,13 +10,10 @@ reproduces the Born rule, first-kind repeatability and Lueders collapse.
 from .bloch import (
     BlochVector,
     DensityOperator,
-    GeneratorBasis,
     PureState,
-    StateValidity,
     bloch_to_density,
     build_generator_basis,
     density_to_bloch,
-    generator_basis,
     is_valid_state,
     pure_to_density,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "DensityOperator",
     "DimensionError",
     "ExperimentConfig",
-    "GeneratorBasis",
     "GeometryError",
     "HmSimError",
     "ImpossibleOutcomeError",
@@ -94,7 +90,6 @@ __all__ = [
     "OracleMismatchError",
     "PureState",
     "RandomSource",
-    "StateValidity",
     "barycentric_coordinates",
     "bloch_to_density",
     "born_probabilities",
@@ -107,7 +102,6 @@ __all__ = [
     "die_measure",
     "die_observable",
     "die_state",
-    "generator_basis",
     "is_valid_state",
     "luders_posterior",
     "prepare_measurement",

@@ -205,21 +205,14 @@ def build_generator_basis(dimension: int) -> GeneratorBasis:
 
 @lru_cache(maxsize=None)
 def generator_basis(dimension: int) -> GeneratorBasis:
-    """Cached accessor; the basis is immutable and safe to share."""
+    """The one basis every map uses for dimension N; immutable and shared."""
     return build_generator_basis(dimension)
 
 
-def _check_same_dimension(a, b) -> int:
-    if a.dimension != b.dimension:
-        raise DimensionError(
-            f"dimension mismatch: {a.dimension} vs {b.dimension}"
-        )
-    return a.dimension
-
-
-def density_to_bloch(state: DensityOperator, basis: GeneratorBasis) -> BlochVector:
+def density_to_bloch(state: DensityOperator) -> BlochVector:
     """Map a density operator to its Bloch vector, r_i = N/(2 c_N) Tr(D L_i)."""
-    n = _check_same_dimension(state, basis)
+    n = state.dimension
+    basis = generator_basis(n)
     traces = np.einsum("aij,ji->a", basis.generators, state.matrix)
     if np.max(np.abs(traces.imag)) > ALGEBRAIC_TOL:
         raise InvalidStateError(
@@ -228,22 +221,22 @@ def density_to_bloch(state: DensityOperator, basis: GeneratorBasis) -> BlochVect
     return BlochVector(n, traces.real * (n / (2.0 * basis.normalization)))
 
 
-def _bloch_matrix(r: BlochVector, basis: GeneratorBasis) -> np.ndarray:
+def _bloch_matrix(r: BlochVector) -> np.ndarray:
     n = r.dimension
+    basis = generator_basis(n)
     m = np.tensordot(r.coordinates, basis.generators, axes=1)
     m = (np.eye(n, dtype=complex) + basis.normalization * m) / n
     return (m + m.conj().T) / 2.0
 
 
-def bloch_to_density(r: BlochVector, basis: GeneratorBasis) -> DensityOperator:
+def bloch_to_density(r: BlochVector) -> DensityOperator:
     """Inverse map, D = (1/N)(I + c_N r . L).
 
     For N >= 3 the ball is not filled with states, so the reconstructed
     operator may fail positivity; that raises ``InvalidStateError`` carrying
     the offending minimum eigenvalue.
     """
-    n = _check_same_dimension(r, basis)
-    m = _bloch_matrix(r, basis)
+    m = _bloch_matrix(r)
     lo = float(np.linalg.eigvalsh(m)[0])
     if lo < -EIGEN_TOL:
         raise InvalidStateError(
@@ -251,13 +244,12 @@ def bloch_to_density(r: BlochVector, basis: GeneratorBasis) -> DensityOperator:
             f"(min eigenvalue {lo:.3e})",
             min_eigenvalue=lo,
         )
-    return DensityOperator(n, m)
+    return DensityOperator(r.dimension, m)
 
 
-def is_valid_state(r: BlochVector, basis: GeneratorBasis) -> StateValidity:
+def is_valid_state(r: BlochVector) -> StateValidity:
     """Total version of ``bloch_to_density``: never raises for in-ball input."""
-    _check_same_dimension(r, basis)
-    lo = float(np.linalg.eigvalsh(_bloch_matrix(r, basis))[0])
+    lo = float(np.linalg.eigvalsh(_bloch_matrix(r))[0])
     return StateValidity(lo >= -EIGEN_TOL, lo)
 
 

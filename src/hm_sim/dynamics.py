@@ -31,7 +31,6 @@ from .bloch import (
     PureState,
     bloch_to_density,
     density_to_bloch,
-    generator_basis,
     pure_to_density,
     _frozen,
 )
@@ -277,10 +276,9 @@ def prepare_measurement(
     n = state.dimension
     if observable.dimension != n:
         raise DimensionError("state and observable dimensions differ")
-    basis = generator_basis(n)
     if simplex is None:
-        simplex = build_measurement_simplex(observable, basis)
-    r = density_to_bloch(state, basis)
+        simplex = build_measurement_simplex(observable)
+    r = density_to_bloch(state)
     on_membrane = project_onto_membrane(r, simplex)
     u = barycentric_coordinates(on_membrane, simplex).weights
     born = born_probabilities(state, observable).weights
@@ -348,7 +346,7 @@ def run_measurement(
     block = observable.block_of(elementary)
     intermediate = _project_onto_face(plan.on_membrane.coordinates, simplex, block)
     posterior = luders_posterior(state, observable, block)
-    final = density_to_bloch(posterior, generator_basis(n))
+    final = density_to_bloch(posterior)
 
     polar = None
     if n == 2:
@@ -388,7 +386,7 @@ def spin_machine_measure(
     if r.dimension != 2:
         raise DimensionError("spin machine states live on the N=2 Bloch ball")
     observable = spin_observable(axis)
-    state = bloch_to_density(r, generator_basis(2))
+    state = bloch_to_density(r)
     label, trace, _ = run_measurement(state, observable, model, rng)
     unit = np.asarray(axis, dtype=float)
     unit = unit / np.linalg.norm(unit)
@@ -403,7 +401,7 @@ def die_observable() -> Observable:
 
 @lru_cache(maxsize=1)
 def _die_simplex() -> MeasurementSimplex:
-    return build_measurement_simplex(die_observable(), generator_basis(6))
+    return build_measurement_simplex(die_observable())
 
 
 def die_state(face: int | None) -> DensityOperator:

@@ -22,7 +22,6 @@ import numpy as np
 from .bloch import (
     BlochVector,
     DensityOperator,
-    GeneratorBasis,
     PureState,
     _frozen,
     density_to_bloch,
@@ -228,16 +227,10 @@ def _orthonormal_frame(vertices: np.ndarray) -> np.ndarray:
     return np.column_stack(cols) if cols else np.zeros((vertices.shape[1], 0))
 
 
-def build_measurement_simplex(
-    observable: Observable, basis: GeneratorBasis
-) -> MeasurementSimplex:
+def build_measurement_simplex(observable: Observable) -> MeasurementSimplex:
     """Map each eigenstate through the Bloch representation and assemble."""
-    if observable.dimension != basis.dimension:
-        raise DimensionError(
-            f"dimension mismatch: {observable.dimension} vs {basis.dimension}"
-        )
     rows = [
-        density_to_bloch(pure_to_density(s), basis).coordinates
+        density_to_bloch(pure_to_density(s)).coordinates
         for s in observable.eigenstates
     ]
     return MeasurementSimplex(observable.dimension, np.stack(rows))

@@ -29,7 +29,6 @@ from .bloch import (
     PureState,
     bloch_to_density,
     density_to_bloch,  # noqa: F401  (the benchmark tracer patches this binding)
-    generator_basis,
     pure_to_density,
 )
 from .dynamics import (
@@ -68,9 +67,7 @@ def resolve_state_spec(spec: dict, dimension: int) -> DensityOperator:
         return pure_to_density(PureState.normalized(re + 1j * im))
     if kind == "bloch":
         coords = np.asarray(spec["coordinates"], dtype=float)
-        return bloch_to_density(
-            BlochVector(dimension, coords), generator_basis(dimension)
-        )
+        return bloch_to_density(BlochVector(dimension, coords))
     if kind == "preset":
         name = spec.get("name")
         if name == "maximally_mixed":
@@ -207,7 +204,9 @@ def chi_square_check(
 
     Blocks with expected probability below 10/total are pooled into one;
     the threshold is the ``quantile`` point of chi-square with
-    (retained blocks - 1) degrees of freedom.
+    (retained blocks - 1) degrees of freedom.  With 0 degrees of freedom
+    the one cell's observed and expected counts agree up to rounding, so
+    only an infinite statistic (hits in a zero-probability block) fails.
     """
     observed = np.asarray(observed_counts, dtype=float)
     expected = np.asarray(expected_probabilities, dtype=float)
@@ -237,9 +236,8 @@ def chi_square_check(
 
     dof = max(cells - 1, 0)
     threshold = float(_scipy_stats.chi2.ppf(quantile, dof)) if dof >= 1 else 0.0
-    return ChiSquareResult(
-        float(statistic), dof, threshold, bool(statistic <= threshold)
-    )
+    passed = statistic <= threshold if dof >= 1 else np.isfinite(statistic)
+    return ChiSquareResult(float(statistic), dof, threshold, bool(passed))
 
 
 @dataclass(frozen=True)

@@ -153,9 +153,13 @@ def validate_config_payload(payload: dict) -> None:
 
 def load_config_file(path: str) -> dict:
     """Parse and schema-validate a JSON config, with line/field diagnostics."""
+
+    def reject_non_finite(name: str):
+        raise ConfigError(f"config {path} holds {name}; numbers must be finite")
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            payload = json.load(handle, parse_constant=reject_non_finite)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:

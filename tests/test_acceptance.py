@@ -19,7 +19,6 @@ import pytest
 from helpers import random_density
 
 from hm_sim.bloch import (
-    build_generator_basis,
     density_to_bloch,
     pure_to_density,
 )
@@ -88,14 +87,13 @@ def test_criterion_2_born_geometry_analytic_identity():
         start = time.perf_counter()
         worst = 0.0
         for n in range(2, 9):
-            basis = build_generator_basis(n)
             observable = canonical_observable(n)
-            simplex = build_measurement_simplex(observable, basis)
+            simplex = build_measurement_simplex(observable)
             source = RandomSource(SEED)
             for i in range(100):
                 state = pure_to_density(random_pure_state(source, i, n))
                 born = born_probabilities(state, observable).weights
-                landed = project_onto_membrane(density_to_bloch(state, basis), simplex)
+                landed = project_onto_membrane(density_to_bloch(state), simplex)
                 geometric = barycentric_coordinates(landed, simplex).weights
                 worst = max(worst, float(np.max(np.abs(geometric - born))))
         assert worst <= 1e-9, f"max gap {worst:.3e}"
@@ -141,7 +139,7 @@ def test_criterion_4_first_kind_repeatability():
         total = repeated = 0
         for n, labels, pairs in cases:
             observable = canonical_observable(n, labels)
-            simplex = build_measurement_simplex(observable, build_generator_basis(n))
+            simplex = build_measurement_simplex(observable)
             model = MembraneModel.uniform()
             for t in range(pairs):
                 state = random_density(rng_states, n)
@@ -167,8 +165,7 @@ def test_criterion_5_luders_conformance():
         source = RandomSource(SEED)
         for n, labels in cases:
             observable = canonical_observable(n, labels)
-            basis = build_generator_basis(n)
-            simplex = build_measurement_simplex(observable, basis)
+            simplex = build_measurement_simplex(observable)
             psi = random_pure_state(source, 17 * n, n)
             state = pure_to_density(psi)
 
@@ -328,14 +325,20 @@ def test_criterion_8_determinism(tmp_path):
         ).read_bytes()
         # and fresh interpreter processes agree with each other too
         import subprocess
+        from pathlib import Path
 
+        import hm_sim
+
+        # Run from the directory holding the imported package, so that the
+        # child tests the same code without an install or PYTHONPATH.
+        package_root = Path(hm_sim.__file__).resolve().parents[1]
         blobs = []
         for tag in ("p1", "p2"):
             out = tmp_path / f"proc-{tag}.json"
             proc = subprocess.run(
                 [sys.executable, "-m", "hm_sim", "die", "--rolls", "20000",
                  "--seed", str(SEED), "--out", str(out)],
-                capture_output=True,
+                capture_output=True, cwd=package_root,
             )
             assert proc.returncode == 0, proc.stderr.decode()
             blobs.append(out.read_bytes())

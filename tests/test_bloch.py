@@ -85,24 +85,21 @@ def test_generator_basis_rejects_small_dimension():
 
 def test_maximally_mixed_maps_to_center():
     for n in (2, 3):
-        basis = build_generator_basis(n)
-        r = density_to_bloch(DensityOperator.maximally_mixed(n), basis)
+        r = density_to_bloch(DensityOperator.maximally_mixed(n))
         np.testing.assert_allclose(r.coordinates, np.zeros(n * n - 1), atol=1e-15)
 
 
 def test_center_maps_to_maximally_mixed():
-    basis = build_generator_basis(2)
-    d = bloch_to_density(BlochVector.center(2), basis)
+    d = bloch_to_density(BlochVector.center(2))
     np.testing.assert_allclose(d.matrix, np.eye(2) / 2, atol=1e-15)
 
 
 def test_ground_state_bloch_vector():
     # Oracle: components are Tr(D sigma_i) with the explicit Paulis.
-    basis = build_generator_basis(2)
     d = pure_to_density(PureState.basis_state(2, 0))
     expected = [np.trace(d.matrix @ s).real for s in (SX, SY, SZ)]
     np.testing.assert_allclose(expected, [0.0, 0.0, 1.0], atol=1e-15)
-    r = density_to_bloch(d, basis)
+    r = density_to_bloch(d)
     np.testing.assert_allclose(r.coordinates, expected, atol=1e-14)
     assert r.norm == pytest.approx(1.0, abs=1e-12)
 
@@ -110,47 +107,43 @@ def test_ground_state_bloch_vector():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_round_trip_on_random_densities(n):
     rng = np.random.default_rng(1000 + n)
-    basis = build_generator_basis(n)
     for _ in range(25):
         d = random_density(rng, n)
-        back = bloch_to_density(density_to_bloch(d, basis), basis)
+        back = bloch_to_density(density_to_bloch(d))
         assert np.max(np.abs(back.matrix - d.matrix)) <= 1e-10
 
 
 def test_round_trip_on_n2_unit_vectors():
     rng = np.random.default_rng(7)
-    basis = build_generator_basis(2)
     for _ in range(50):
         v = rng.standard_normal(3)
         r = BlochVector(2, v / np.linalg.norm(v))
-        back = density_to_bloch(bloch_to_density(r, basis), basis)
+        back = density_to_bloch(bloch_to_density(r))
         np.testing.assert_allclose(back.coordinates, r.coordinates, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_purity_criterion(n):
     rng = np.random.default_rng(2000 + n)
-    basis = build_generator_basis(n)
     for _ in range(10):
         psi = random_pure(rng, n)
         d = pure_to_density(psi)
         assert abs(d.purity() - 1.0) <= 1e-10
-        assert abs(density_to_bloch(d, basis).norm - 1.0) <= 1e-10
+        assert abs(density_to_bloch(d).norm - 1.0) <= 1e-10
     mixed = random_density(rng, n)
     if abs(mixed.purity() - 1.0) > 1e-6:
-        assert density_to_bloch(mixed, basis).norm < 1.0
+        assert density_to_bloch(mixed).norm < 1.0
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_orthogonal_states_inner_product(n):
     # Tr(P_i P_j) = 0 forces r_i . r_j = -1/(N-1).
     rng = np.random.default_rng(3000 + n)
-    basis = build_generator_basis(n)
     from helpers import random_orthonormal_frame
 
     frame = random_orthonormal_frame(rng, n)
     vecs = [
-        density_to_bloch(pure_to_density(PureState(n, frame[:, k])), basis)
+        density_to_bloch(pure_to_density(PureState(n, frame[:, k])))
         for k in range(n)
     ]
     for i in range(n):
@@ -162,17 +155,16 @@ def test_orthogonal_states_inner_product(n):
 @pytest.mark.parametrize("n", (2, 3, 5))
 def test_map_is_affine_in_mixing(n):
     rng = np.random.default_rng(4000 + n)
-    basis = build_generator_basis(n)
     for _ in range(10):
         d1, d2 = random_density(rng, n), random_density(rng, n)
         t = rng.random()
         mix = DensityOperator(n, t * d1.matrix + (1 - t) * d2.matrix)
         expected = (
-            t * density_to_bloch(d1, basis).coordinates
-            + (1 - t) * density_to_bloch(d2, basis).coordinates
+            t * density_to_bloch(d1).coordinates
+            + (1 - t) * density_to_bloch(d2).coordinates
         )
         np.testing.assert_allclose(
-            density_to_bloch(mix, basis).coordinates, expected, atol=1e-12
+            density_to_bloch(mix).coordinates, expected, atol=1e-12
         )
 
 
@@ -187,23 +179,22 @@ def test_qutrit_generator_axes_leave_the_state_space():
         m = (np.eye(3) + math.sqrt(3) * basis.generators[axis]) / 3.0
         assert np.linalg.eigvalsh(m)[0] < -1e-6
         vec = BlochVector(3, r)
-        ok, lo = is_valid_state(vec, basis)
+        ok, lo = is_valid_state(vec)
         assert not ok and lo < -1e-6
         with pytest.raises(InvalidStateError) as err:
-            bloch_to_density(vec, basis)
+            bloch_to_density(vec)
         assert err.value.min_eigenvalue == pytest.approx(lo, abs=1e-12)
 
 
 def test_is_valid_state_accepts_convex_combinations():
     rng = np.random.default_rng(99)
-    basis = build_generator_basis(3)
     for _ in range(20):
-        r1 = density_to_bloch(random_density(rng, 3), basis)
-        r2 = density_to_bloch(random_density(rng, 3), basis)
+        r1 = density_to_bloch(random_density(rng, 3))
+        r2 = density_to_bloch(random_density(rng, 3))
         t = rng.random()
         mix = BlochVector(3, t * r1.coordinates + (1 - t) * r2.coordinates)
-        assert is_valid_state(mix, basis).valid
-    assert is_valid_state(BlochVector.center(3), basis).valid
+        assert is_valid_state(mix).valid
+    assert is_valid_state(BlochVector.center(3)).valid
 
 
 def test_pure_to_density_examples():
@@ -232,14 +223,6 @@ def test_density_validation():
         DensityOperator(2, np.diag([1.2, -0.2]))  # negative eigenvalue
     with pytest.raises(DimensionError):
         DensityOperator(3, np.eye(2) / 2)
-
-
-def test_dimension_mismatch_raises():
-    basis = build_generator_basis(3)
-    with pytest.raises(DimensionError):
-        density_to_bloch(DensityOperator.maximally_mixed(2), basis)
-    with pytest.raises(DimensionError):
-        bloch_to_density(BlochVector.center(2), basis)
 
 
 def test_bloch_vector_rejects_points_outside_ball():

@@ -302,6 +302,21 @@ def _measure_config(**overrides):
     return cfg
 
 
+def _ua_config(**overrides):
+    cfg = {
+        "schema_version": "1",
+        "experiment": "universal-average",
+        "dimension": 2,
+        "state": {"kind": "bloch", "coordinates": [0.6, 0.0, 0.8]},
+        "observable": {"kind": "canonical"},
+        "cells": 5,
+        "membranes": 2,
+        "trials_per_membrane": 100,
+    }
+    cfg.update(overrides)
+    return cfg
+
+
 @pytest.mark.parametrize(
     "config, out",
     [
@@ -310,14 +325,17 @@ def _measure_config(**overrides):
         (_measure_config(state={"kind": "preset", "name": "basis", "index": 2}), None),
         (_measure_config(membrane={"kind": "cellular"}), None),
         (_measure_config(), "missing-dir/out.json"),
+        (_measure_config(state={"kind": "pure", "re": [math.nan, 0.5]}), None),
+        (_ua_config(tolerance_sigmas=math.inf), None),
     ],
     ids=["pure-without-re", "basis-without-index", "basis-index-out-of-range",
-         "cellular-without-weights", "out-into-missing-dir"],
+         "cellular-without-weights", "out-into-missing-dir", "nan-amplitude",
+         "infinite-tolerance"],
 )
 def test_schema_valid_bad_inputs_exit_2_without_traceback(tmp_path, capsys, config, out):
-    cfg = tmp_path / "measure.json"
+    cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
-    argv = ["measure", "--config", str(cfg)]
+    argv = [config["experiment"], "--config", str(cfg)]
     if out is not None:
         argv += ["--out", str(tmp_path / out)]
     code, _, err = run_cli(capsys, *argv)
@@ -327,21 +345,7 @@ def test_schema_valid_bad_inputs_exit_2_without_traceback(tmp_path, capsys, conf
 
 def test_fixed_cell_weights_must_match_cells(tmp_path, capsys):
     cfg = tmp_path / "ua.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "schema_version": "1",
-                "experiment": "universal-average",
-                "dimension": 2,
-                "state": {"kind": "bloch", "coordinates": [0.6, 0.0, 0.8]},
-                "observable": {"kind": "canonical"},
-                "cells": 5,
-                "membranes": 2,
-                "trials_per_membrane": 100,
-                "fixed_cell_weights": [0.5, 0.5],
-            }
-        )
-    )
+    cfg.write_text(json.dumps(_ua_config(fixed_cell_weights=[0.5, 0.5])))
     code, _, err = run_cli(capsys, "universal-average", "--config", str(cfg))
     assert code == 2
     assert "fixed_cell_weights" in err
@@ -351,3 +355,21 @@ def test_verify_born_rejects_zero_states(capsys):
     code, _, err = run_cli(capsys, "verify-born", "--dimension", "3", "--states", "0")
     assert code == 2
     assert "states" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["die", "--rolls", "10"],
+        ["verify-born", "--dimension", "3", "--states", "20", "--trials", "5",
+         "--seed", "1"],
+    ],
+    ids=["die-10-rolls", "verify-born-5-trials"],
+)
+def test_runs_with_every_block_pooled_pass(capsys, argv):
+    # Each chi-square here has 0 degrees of freedom and a statistic of
+    # rounding noise; that is no evidence against the Born rule.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert all(r["degrees_of_freedom"] == 0
+               for r in json.loads(out)["reports"])

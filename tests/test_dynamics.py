@@ -11,7 +11,6 @@ from hm_sim.bloch import (
     BlochVector,
     DensityOperator,
     PureState,
-    build_generator_basis,
     density_to_bloch,
     pure_to_density,
 )
@@ -41,9 +40,7 @@ from hm_sim.geometry import (
 
 
 def make_simplex(n, labels=None):
-    return build_measurement_simplex(
-        canonical_observable(n, labels), build_generator_basis(n)
-    )
+    return build_measurement_simplex(canonical_observable(n, labels))
 
 
 def test_random_source_streams_are_reproducible_and_independent():
@@ -181,9 +178,8 @@ def test_eigenstate_input_gives_certain_outcome_for_all_models():
 
 
 def test_collapse_trace_invariants_nondegenerate():
-    basis = build_generator_basis(3)
     obs = canonical_observable(3)
-    s = build_measurement_simplex(obs, basis)
+    s = build_measurement_simplex(obs)
     rng_states = np.random.default_rng(50)
     for t in range(50):
         d = pure_to_density(random_pure(rng_states, 3))
@@ -228,7 +224,7 @@ def test_luders_identity_degenerate():
 
 def test_degenerate_block_probability_matches_born_sum():
     obs = canonical_observable(3, (7.0, 7.0, 9.0))
-    s = build_measurement_simplex(obs, build_generator_basis(3))
+    s = build_measurement_simplex(obs)
     rng_states = np.random.default_rng(61)
     d = pure_to_density(random_pure(rng_states, 3))
     p = born_probabilities(d, obs).weights
@@ -256,8 +252,7 @@ def test_first_kind_repeatability_exact():
     rng_states = np.random.default_rng(70)
     for n, labels in cases:
         obs = canonical_observable(n, labels)
-        basis = build_generator_basis(n)
-        s = build_measurement_simplex(obs, basis)
+        s = build_measurement_simplex(obs)
         for t in range(300):
             d = random_density(rng_states, n) if t % 2 else pure_to_density(
                 random_pure(rng_states, n)
@@ -275,7 +270,7 @@ def test_solipsistic_outcomes_uniform_for_any_noneigenstate():
     model = MembraneModel.solipsistic()
     rng_states = np.random.default_rng(80)
     trials = 12000
-    s = build_measurement_simplex(obs, build_generator_basis(6))
+    s = build_measurement_simplex(obs)
     for d in (
         DensityOperator.maximally_mixed(6),
         pure_to_density(random_pure(rng_states, 6)),
@@ -303,7 +298,7 @@ def test_full_pipeline_on_random_eigenbasis():
     states = tuple(PureState(n, frame[:, k]) for k in range(n))
     obs = Observable(n, states, (1.0, 1.0, 2.0, 3.0, 3.0))
     d = pure_to_density(random_pure(rng, n))
-    simplex = build_measurement_simplex(obs, build_generator_basis(n))
+    simplex = build_measurement_simplex(obs)
 
     plan = prepare_measurement(d, obs, simplex)
     outcomes = sample_elementary_outcomes(
@@ -412,9 +407,8 @@ def test_die_off_table_uniform_and_first_kind():
 
 
 def test_die_state_geometry():
-    basis = build_generator_basis(6)
-    s = build_measurement_simplex(die_observable(), basis)
-    r = density_to_bloch(die_state(None), basis)
+    s = build_measurement_simplex(die_observable())
+    r = density_to_bloch(die_state(None))
     np.testing.assert_allclose(r.coordinates, np.zeros(35), atol=1e-15)
-    r4 = density_to_bloch(die_state(4), basis)
+    r4 = density_to_bloch(die_state(4))
     np.testing.assert_allclose(r4.coordinates, s.vertices[3], atol=1e-14)

@@ -11,7 +11,6 @@ from hm_sim.bloch import (
     BlochVector,
     DensityOperator,
     PureState,
-    build_generator_basis,
     density_to_bloch,
     pure_to_density,
 )
@@ -34,9 +33,7 @@ from hm_sim.geometry import (
 
 
 def make_simplex(n, labels=None):
-    return build_measurement_simplex(
-        canonical_observable(n, labels), build_generator_basis(n)
-    )
+    return build_measurement_simplex(canonical_observable(n, labels))
 
 
 def n2_state(theta):
@@ -76,7 +73,7 @@ def test_vertex_inner_products(n):
     frame = random_orthonormal_frame(rng, n)
     states = tuple(PureState(n, frame[:, k]) for k in range(n))
     obs = Observable(n, states, tuple(float(i) for i in range(n)))
-    s2 = build_measurement_simplex(obs, build_generator_basis(n))
+    s2 = build_measurement_simplex(obs)
     gram2 = s2.vertices @ s2.vertices.T
     np.testing.assert_allclose(gram2, expected, atol=1e-10)
 
@@ -110,9 +107,8 @@ def test_projection_of_center_is_centroid(n):
 def test_projection_residual_orthogonal_to_edges(n):
     rng = np.random.default_rng(600 + n)
     s = make_simplex(n)
-    basis = build_generator_basis(n)
     for _ in range(10):
-        r = density_to_bloch(random_density(rng, n), basis)
+        r = density_to_bloch(random_density(rng, n))
         resid = r.coordinates - project_onto_membrane(r, s).coordinates
         for i in range(n):
             for j in range(i + 1, n):
@@ -166,10 +162,9 @@ def test_born_probabilities_examples():
         atol=1e-14,
     )
     # Spin-1/2 at polar angle pi/3 from the measurement axis: cos^2(pi/6) = 3/4.
-    basis2 = build_generator_basis(2)
     from hm_sim.bloch import bloch_to_density
 
-    d2 = bloch_to_density(n2_state(math.pi / 3), basis2)
+    d2 = bloch_to_density(n2_state(math.pi / 3))
     np.testing.assert_allclose(
         born_probabilities(d2, canonical_observable(2)).weights,
         [0.75, 0.25],
@@ -182,18 +177,17 @@ def test_born_geometry_identity(n):
     # The central claim: barycentric coordinates of the projected state point
     # equal the Hilbert-space probabilities Tr(D P_i).
     rng = np.random.default_rng(700 + n)
-    basis = build_generator_basis(n)
     obs = canonical_observable(n)
-    s = build_measurement_simplex(obs, basis)
+    s = build_measurement_simplex(obs)
     for _ in range(25):
         d = pure_to_density(random_pure(rng, n))
-        r = density_to_bloch(d, basis)
+        r = density_to_bloch(d)
         w = barycentric_coordinates(project_onto_membrane(r, s), s).weights
         p = born_probabilities(d, obs).weights
         assert np.max(np.abs(w - p)) <= 1e-9
     for _ in range(10):
         d = random_density(rng, n)
-        r = density_to_bloch(d, basis)
+        r = density_to_bloch(d)
         w = barycentric_coordinates(project_onto_membrane(r, s), s).weights
         p = born_probabilities(d, obs).weights
         assert np.max(np.abs(w - p)) <= 1e-9
@@ -301,12 +295,11 @@ def test_classify_rejects_points_outside_simplex():
 
 
 def test_spin_observable_vertices_align_with_axis():
-    basis = build_generator_basis(2)
     rng = np.random.default_rng(11)
     for _ in range(10):
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
-        s = build_measurement_simplex(spin_observable(axis), basis)
+        s = build_measurement_simplex(spin_observable(axis))
         np.testing.assert_allclose(s.vertices[0], axis, atol=1e-12)
         np.testing.assert_allclose(s.vertices[1], -axis, atol=1e-12)
     with pytest.raises(GeometryError):

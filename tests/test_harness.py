@@ -182,9 +182,19 @@ def test_chi_square_pools_rare_blocks_and_rejects_zero_counts():
 
 
 def test_chi_square_zero_probability_block_with_hits_is_infinite():
-    res = chi_square_check([900, 90, 10], [0.9, 0.1, 0.0])
-    assert math.isinf(res.statistic)
-    assert not res.passed
+    for counts, expected in (([900, 90, 10], [0.9, 0.1, 0.0]), ([9, 1], [1.0, 0.0])):
+        res = chi_square_check(counts, expected)
+        assert math.isinf(res.statistic)
+        assert not res.passed
+
+
+def test_chi_square_all_pooled_noise_passes_at_zero_dof():
+    # 10 die rolls: every block expects 10/6 < 10 hits, so all six are pooled
+    # into one cell whose statistic is rounding noise against threshold 0.
+    res = chi_square_check([2, 2, 3, 1, 2, 0], np.full(6, 1 / 6))
+    assert res.degrees_of_freedom == 0 and res.threshold == 0.0
+    assert 0.0 < res.statistic < 1e-20
+    assert res.passed
 
 
 def test_single_cell_universal_average_equals_uniform_run():
