@@ -12,7 +12,6 @@ from .bloch import (
     DensityOperator,
     PureState,
     bloch_to_density,
-    build_generator_basis,
     density_to_bloch,
     is_valid_state,
     pure_to_density,
@@ -93,7 +92,6 @@ __all__ = [
     "barycentric_coordinates",
     "bloch_to_density",
     "born_probabilities",
-    "build_generator_basis",
     "build_measurement_simplex",
     "canonical_observable",
     "chi_square_check",

@@ -12,6 +12,22 @@ the closed unit ball of R^(N^2 - 1): pure states land exactly on the unit
 sphere, the maximally mixed state at the origin.  For N >= 3 not every point
 of the ball corresponds to a positive operator, so the valid-state region is
 a proper convex subset of the ball.
+
+The generators are the generalized Gell-Mann matrices (Kimura 2003;
+Bertlmann & Krammer 2008), in a fixed order: for the index pairs j < k in
+lexicographic order first the symmetric ones, then the antisymmetric ones,
+then the N - 1 diagonal ones (see ``build_generator_basis``).  Each touches
+at most N entries, so with s = N / (2 c_N) the components of r read
+straight off the matrix:
+
+    symmetric (j, k):      s * (D_jk + D_kj)     =  2 s Re D_jk
+    antisymmetric (j, k):  s * i (D_jk - D_kj)   = -2 s Im D_jk
+    diagonal l = 1..N-1:   s * sqrt(2 / (l (l + 1))) * (sum_{i<l} D_ii - l D_ll)
+
+and the inverse map scatters them back into the same entries.  Both maps
+cost O(N^2) time and memory; the dense (N^2 - 1, N, N) generator tensor is
+built only by ``build_generator_basis``, which documents the order and
+serves the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -40,13 +56,15 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """Ordered traceless Hermitian generators of SU(N).
+    """Ordered traceless Hermitian generators of SU(N), as dense matrices.
 
-    ``generators`` has shape (N^2 - 1, N, N).  The ordering is fixed:
-    symmetric off-diagonal generators for index pairs (j, k), j < k, in
-    lexicographic order, then the antisymmetric ones in the same pair order,
-    then the N - 1 diagonal generators.  ``normalization`` is the scale
-    c_N = sqrt(N (N - 1) / 2) that puts pure states on the unit sphere.
+    The maps never build it: it documents the component order and is the
+    tests' oracle.  ``generators`` has shape (N^2 - 1, N, N).  The ordering
+    is fixed: symmetric off-diagonal generators for index pairs (j, k),
+    j < k, in lexicographic order, then the antisymmetric ones in the same
+    pair order, then the N - 1 diagonal generators.  ``normalization`` is
+    the scale c_N = sqrt(N (N - 1) / 2) that puts pure states on the unit
+    sphere.
     """
 
     dimension: int
@@ -204,29 +222,55 @@ def build_generator_basis(dimension: int) -> GeneratorBasis:
 
 
 @lru_cache(maxsize=None)
-def generator_basis(dimension: int) -> GeneratorBasis:
-    """The one basis every map uses for dimension N; immutable and shared."""
-    return build_generator_basis(dimension)
+def _layout(dimension: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Where the generators of SU(N) read the matrix, and c_N.
+
+    Returns the flat indices j N + k and k N + j of the pairs j < k in
+    lexicographic order, the (N - 1, N) array whose row l - 1 is the
+    diagonal of the l-th diagonal generator, and c_N.
+    """
+    n = dimension
+    if n < 2:
+        raise DimensionError(f"dimension must be >= 2, got {n}")
+    j, k = np.triu_indices(n, 1)
+    l = np.arange(1.0, n)[:, None]
+    i = np.arange(n)
+    diagonal = np.where(i < l, 1.0, np.where(i == l, -l, 0.0)) * np.sqrt(
+        2.0 / (l * (l + 1))
+    )
+    return (_frozen(j * n + k), _frozen(k * n + j), _frozen(diagonal),
+            sqrt(n * (n - 1) / 2.0))
 
 
 def density_to_bloch(state: DensityOperator) -> BlochVector:
     """Map a density operator to its Bloch vector, r_i = N/(2 c_N) Tr(D L_i)."""
     n = state.dimension
-    basis = generator_basis(n)
-    traces = np.einsum("aij,ji->a", basis.generators, state.matrix)
-    if np.max(np.abs(traces.imag)) > ALGEBRAIC_TOL:
+    upper, lower, diagonal, c = _layout(n)
+    d = state.matrix.reshape(-1)
+    above, below = d[upper], d[lower]
+    # Sequential row sums add the diagonal terms in the order of the dense
+    # contraction Tr(D L_l), so every component keeps its bits.
+    diag = np.add.accumulate(diagonal * d[:: n + 1], axis=1)[:, -1]
+    traces = np.concatenate((above + below, (above - below) * 1j, diag))
+    if abs(traces.imag).max() > ALGEBRAIC_TOL:
         raise InvalidStateError(
             "Tr(D L_i) has imaginary part above 1e-12; input is not Hermitian"
         )
-    return BlochVector(n, traces.real * (n / (2.0 * basis.normalization)))
+    # + 0.0 maps the -0.0 of a vanishing sum or difference to the 0.0 that
+    # the dense contraction gives.
+    return BlochVector(n, (traces.real + 0.0) * (n / (2.0 * c)))
 
 
 def _bloch_matrix(r: BlochVector) -> np.ndarray:
     n = r.dimension
-    basis = generator_basis(n)
-    m = np.tensordot(r.coordinates, basis.generators, axes=1)
-    m = (np.eye(n, dtype=complex) + basis.normalization * m) / n
-    return (m + m.conj().T) / 2.0
+    upper, lower, diagonal, c = _layout(n)
+    pairs = len(upper)
+    sym, anti = r.coordinates[:pairs], r.coordinates[pairs : 2 * pairs]
+    m = np.zeros(n * n, dtype=complex)
+    m.real[upper] = m.real[lower] = sym
+    m.imag[upper], m.imag[lower] = -anti, anti
+    m.real[:: n + 1] = r.coordinates[2 * pairs :] @ diagonal
+    return (np.eye(n, dtype=complex) + c * m.reshape(n, n)) / n
 
 
 def bloch_to_density(r: BlochVector) -> DensityOperator:

@@ -3,11 +3,13 @@
 Commands: ``spin-machine``, ``verify-born``, ``die``, ``universal-average``
 and ``measure``.  Each emits a machine-readable report (JSON by default,
 CSV on request) and exits 0 when every check passed, 1 when checks ran and
-failed, 2 on usage or configuration errors.  Results depend only on the
-configuration and the master seed: the default seed is the fixed constant
-0xB10C (overridable through the HM_SIM_SEED environment variable, which
---seed in turn beats), never wall-clock time, and worker counts change
-nothing but wall time.
+failed, 2 on usage or configuration errors, and 3 when an internal
+invariant fails (``OracleMismatchError`` or ``ImpossibleOutcomeError``: a
+bug, not a bad input), with one ``internal error:`` line on stderr.
+Results depend only on the configuration and the master seed: the default
+seed is the fixed constant 0xB10C (overridable through the HM_SIM_SEED
+environment variable, which --seed in turn beats), never wall-clock time,
+and worker counts change nothing but wall time.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 
 from .bloch import pure_to_density
 from .dynamics import ORACLE_TOL, RandomSource, run_measurement
-from .errors import ConfigError, HmSimError
+from .errors import ConfigError, HmSimError, ImpossibleOutcomeError, OracleMismatchError
 from .harness import (
     ExperimentConfig,
     born_identity_max_gap,
@@ -313,6 +315,9 @@ def main(argv=None) -> int:
     try:
         payload, passed = _HANDLERS[args.command](args)
         _emit(payload, args)
+    except (OracleMismatchError, ImpossibleOutcomeError) as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
     except HmSimError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import random_density, random_pure
 
+import hm_sim.bloch
 from hm_sim.bloch import (
     BlochVector,
     DensityOperator,
@@ -18,6 +19,7 @@ from hm_sim.bloch import (
     pure_to_density,
 )
 from hm_sim.errors import DimensionError, InvalidStateError
+from hm_sim.geometry import build_measurement_simplex, canonical_observable
 
 # Independent oracles: the textbook Pauli and Gell-Mann matrices, written out.
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -81,6 +83,38 @@ def test_gell_mann_matrices_recovered():
 def test_generator_basis_rejects_small_dimension():
     with pytest.raises(DimensionError):
         build_generator_basis(1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_fast_maps_match_generator_contraction(n):
+    # Oracle: r_i = N/(2 c_N) Tr(D L_i) and D = (I + c_N r . L)/N, contracted
+    # against the dense generator tensor.
+    basis = build_generator_basis(n)
+    scale = n / (2.0 * basis.normalization)
+    rng = np.random.default_rng(5000 + n)
+    states = [pure_to_density(random_pure(rng, n)) for _ in range(10)]
+    states += [random_density(rng, n) for _ in range(10)]
+    for d in states:
+        r = density_to_bloch(d)
+        traces = np.einsum("aij,ji->a", basis.generators, d.matrix)
+        assert np.max(np.abs(r.coordinates - traces.real * scale)) <= 1e-15
+        dense = np.tensordot(r.coordinates, basis.generators, axes=1)
+        dense = (np.eye(n) + basis.normalization * dense) / n
+        assert np.max(np.abs(bloch_to_density(r).matrix - dense)) <= 1e-15
+
+
+def test_maps_never_build_the_generator_tensor(monkeypatch):
+    def refuse(dimension):
+        raise AssertionError(f"dense SU({dimension}) basis built")
+
+    monkeypatch.setattr(hm_sim.bloch, "build_generator_basis", refuse)
+    n = 64
+    rng = np.random.default_rng(64)
+    r = density_to_bloch(random_density(rng, n))
+    assert bloch_to_density(r).dimension == n
+    assert is_valid_state(r).valid
+    simplex = build_measurement_simplex(canonical_observable(n))
+    assert simplex.vertices.shape == (n, n * n - 1)
 
 
 def test_maximally_mixed_maps_to_center():

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+import hm_sim.dynamics
 from hm_sim.cli import DEFAULT_SEED, main, resolve_seed
 from hm_sim.dynamics import RandomSource
+from hm_sim.errors import OracleMismatchError
 from hm_sim.harness import random_pure_state
 from hm_sim.serialize import validate_report_payload
 
@@ -317,6 +319,9 @@ def _ua_config(**overrides):
     return cfg
 
 
+MIXED = {"kind": "preset", "name": "maximally_mixed"}
+
+
 @pytest.mark.parametrize(
     "config, out",
     [
@@ -327,10 +332,13 @@ def _ua_config(**overrides):
         (_measure_config(), "missing-dir/out.json"),
         (_measure_config(state={"kind": "pure", "re": [math.nan, 0.5]}), None),
         (_ua_config(tolerance_sigmas=math.inf), None),
+        (_measure_config(dimension=161, state=MIXED), None),
+        (_ua_config(dimension=161, state=MIXED), None),
     ],
     ids=["pure-without-re", "basis-without-index", "basis-index-out-of-range",
          "cellular-without-weights", "out-into-missing-dir", "nan-amplitude",
-         "infinite-tolerance"],
+         "infinite-tolerance", "measure-dimension-above-max",
+         "universal-average-dimension-above-max"],
 )
 def test_schema_valid_bad_inputs_exit_2_without_traceback(tmp_path, capsys, config, out):
     cfg = tmp_path / "config.json"
@@ -373,3 +381,18 @@ def test_runs_with_every_block_pooled_pass(capsys, argv):
     assert code == 0
     assert all(r["degrees_of_freedom"] == 0
                for r in json.loads(out)["reports"])
+
+
+def test_internal_invariant_failure_exits_3_without_traceback(
+    tmp_path, capsys, monkeypatch
+):
+    def broken(*args, **kwargs):
+        raise OracleMismatchError("routes disagree by 1.0e+00")
+
+    monkeypatch.setattr(hm_sim.dynamics, "prepare_measurement", broken)
+    cfg = tmp_path / "measure.json"
+    cfg.write_text(json.dumps(_measure_config()))
+    code, out, err = run_cli(capsys, "measure", "--config", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: routes disagree by 1.0e+00\n"
