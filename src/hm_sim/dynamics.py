@@ -304,12 +304,17 @@ def _project_onto_face(
     return verts[0] + frame @ (frame.T @ rel)
 
 
+def _block_weight(projector: np.ndarray, state: DensityOperator) -> float:
+    """Tr(P_M D): the probability of the outcome block projected on by P_M."""
+    return float(np.real(np.einsum("ij,ji->", projector, state.matrix)))
+
+
 def luders_posterior(
     state: DensityOperator, observable: Observable, block: tuple[int, ...]
 ) -> DensityOperator:
     """P_M D P_M / Tr(P_M D P_M) for the projection onto an outcome block."""
     p = observable.projector(block)
-    weight = float(np.real(np.einsum("ij,ji->", p, state.matrix)))
+    weight = _block_weight(p, state)
     if weight <= MIN_BLOCK_PROB:
         raise ImpossibleOutcomeError(
             f"outcome block {block} has probability {weight:.3e}; "
@@ -339,6 +344,15 @@ def run_measurement(
     if plan.at_vertex is not None:
         elementary, weights = plan.at_vertex, None
     else:
+        if model.kind == "solipsistic":
+            # A solipsistic break may land on any vertex; a block the state
+            # cannot reach has no Lueders posterior to collapse to.
+            for blk in observable.degeneracy_partition:
+                if _block_weight(observable.projector(blk), state) <= MIN_BLOCK_PROB:
+                    raise ConfigError(
+                        f"a solipsistic membrane can break into outcome block {blk}, "
+                        "which has probability 0 for this state"
+                    )
         outcomes, weights = draw_breaks(model, plan.u, 1, rng)
         elementary = int(outcomes[0])
     break_w = np.eye(n)[elementary] if weights is None else weights[0]

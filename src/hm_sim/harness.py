@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .bloch import (
     BlochVector,
@@ -54,17 +53,24 @@ CHUNK_TRIALS = 8192
 # --- experiment specification -------------------------------------------------
 
 
+def _amplitudes(spec: dict, dimension: int, what: str) -> np.ndarray:
+    """The complex amplitudes of a JSON ``re``/``im`` spec, checked for length."""
+    re = np.asarray(spec["re"], dtype=float)
+    im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float)
+    if re.shape != (dimension,) or im.shape != (dimension,):
+        raise ConfigError(
+            f"{what} needs {dimension} amplitudes, got {re.shape}/{im.shape}"
+        )
+    return re + 1j * im
+
+
 def resolve_state_spec(spec: dict, dimension: int) -> DensityOperator:
     """Build the initial density operator from a JSON-shaped spec."""
     kind = spec.get("kind")
     if kind == "pure":
-        re = np.asarray(spec["re"], dtype=float)
-        im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float)
-        if re.shape != (dimension,) or im.shape != (dimension,):
-            raise ConfigError(
-                f"pure state needs {dimension} amplitudes, got {re.shape}/{im.shape}"
-            )
-        return pure_to_density(PureState.normalized(re + 1j * im))
+        return pure_to_density(
+            PureState.normalized(_amplitudes(spec, dimension, "pure state"))
+        )
     if kind == "bloch":
         coords = np.asarray(spec["coordinates"], dtype=float)
         return bloch_to_density(BlochVector(dimension, coords))
@@ -93,11 +99,7 @@ def resolve_observable_spec(spec: dict, dimension: int) -> Observable:
         return spin_observable(spec["axis"])
     if kind == "explicit":
         states = tuple(
-            PureState(
-                dimension,
-                np.asarray(s["re"], dtype=float)
-                + 1j * np.asarray(s.get("im", np.zeros(dimension)), dtype=float),
-            )
+            PureState(dimension, _amplitudes(s, dimension, "eigenstate"))
             for s in spec["eigenstates"]
         )
         return Observable(dimension, states, tuple(spec["labels"]))
@@ -235,7 +237,11 @@ def chi_square_check(
             statistic = float("inf")
 
     dof = max(cells - 1, 0)
-    threshold = float(_scipy_stats.chi2.ppf(quantile, dof)) if dof >= 1 else 0.0
+    # Imported here so that `measure` and `import hm_sim` never load scipy.
+    from scipy.special import gammaincinv
+
+    # The chi-square quantile, as scipy.stats.chi2.ppf computes it.
+    threshold = 2.0 * float(gammaincinv(dof / 2, quantile)) if dof >= 1 else 0.0
     passed = statistic <= threshold if dof >= 1 else np.isfinite(statistic)
     return ChiSquareResult(float(statistic), dof, threshold, bool(passed))
 
@@ -361,9 +367,9 @@ def _hotelling_check(
     """
     k, b = membrane_freqs.shape
     p = b - 1
-    if k <= p + 1:
-        # Too few membranes to estimate the covariance; leave the decision to
-        # the per-block sigma bands.
+    if p == 0 or k <= p + 1:
+        # One block leaves no frequency free to test, or too few membranes to
+        # estimate the covariance; leave the decision to the sigma bands.
         return ChiSquareResult(0.0, 0, 0.0, True)
     x = membrane_freqs[:, :p]
     diff = x.mean(axis=0) - oracle_blocks[:p]
@@ -374,7 +380,11 @@ def _hotelling_check(
         return ChiSquareResult(float("inf"), p, 0.0, False)
     t2 = float(k * diff @ pinv @ diff)
     scale = p * (k - 1) / (k - p)
-    threshold = scale * float(_scipy_stats.f.ppf(quantile, p, k - p))
+    # Imported here so that `measure` and `import hm_sim` never load scipy.
+    from scipy.special import fdtri
+
+    # The F quantile, as scipy.stats.f.ppf computes it.
+    threshold = scale * float(fdtri(p, k - p, quantile))
     return ChiSquareResult(t2, p, threshold, bool(t2 <= threshold))
 
 

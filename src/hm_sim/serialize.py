@@ -9,6 +9,7 @@ shipped with the package.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -74,7 +75,10 @@ def report_entry(report_id: str, report: ConvergenceReport, analytic_max_gap=Non
         "sigma_model": report.sigma_model,
         "tolerance_sigmas": report.tolerance_sigmas,
         "trials": report.trials,
-        "chi_square": report.chi_square_statistic,
+        # An infinite statistic (an infinitely significant deviation) is null:
+        # JSON has no infinity.
+        "chi_square": (report.chi_square_statistic
+                       if math.isfinite(report.chi_square_statistic) else None),
         "chi_square_threshold": report.chi_square_threshold,
         "degrees_of_freedom": report.degrees_of_freedom,
         "pass": report.passed,

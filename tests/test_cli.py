@@ -2,15 +2,20 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import hm_sim.dynamics
 from hm_sim.cli import DEFAULT_SEED, main, resolve_seed
 from hm_sim.dynamics import RandomSource
 from hm_sim.errors import OracleMismatchError
 from hm_sim.harness import random_pure_state
-from hm_sim.serialize import validate_report_payload
+from hm_sim.serialize import validate_config_payload, validate_report_payload
 
 
 def run_cli(capsys, *argv):
@@ -396,3 +401,167 @@ def test_internal_invariant_failure_exits_3_without_traceback(
     assert code == 3
     assert out == ""
     assert err == "internal error: routes disagree by 1.0e+00\n"
+
+
+_IMPORT_PROBE = """
+import json, sys
+from hm_sim.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+codes = [main(["measure", "--config", sys.argv[1], "--out", sys.argv[2]])]
+after_measure = scipy_modules()
+codes.append(main(["die", "--rolls", "100", "--out", sys.argv[3]]))
+print(json.dumps({"codes": codes, "measure": after_measure, "die": scipy_modules()}))
+"""
+
+
+def test_measure_loads_no_scipy_and_verdicts_no_scipy_stats(tmp_path):
+    # scipy is the largest import; a fresh interpreter shows what each
+    # command pulls in.  Run from the directory holding the imported package,
+    # so that the child tests the same code without an install or PYTHONPATH.
+    cfg = tmp_path / "measure.json"
+    cfg.write_text(json.dumps(_measure_config(
+        dimension=3, state={"kind": "pure", "re": [0.6, 0.8, 0.0]})))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(cfg),
+         str(tmp_path / "measure-out.json"), str(tmp_path / "die-out.json")],
+        capture_output=True, text=True,
+        cwd=Path(hm_sim.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["codes"] == [0, 0]
+    assert loaded["measure"] == []
+    assert "scipy.special" in loaded["die"]
+    assert not [m for m in loaded["die"] if m.startswith("scipy.stats")]
+
+
+# --- the exit-code contract over schema-valid configs ---------------------------
+
+_number = st.floats(-2.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False)
+_weight = st.floats(0.0, 2.0) | st.floats(min_value=0.0, allow_infinity=False)
+
+
+def _vector(n, element=_number):
+    """Usually n numbers, sometimes a list of the wrong length."""
+    return st.lists(element, min_size=n, max_size=n) | st.lists(element, max_size=n + 2)
+
+
+def _states(n):
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("pure"), "re": _vector(n)},
+                              optional={"im": _vector(n)}),
+        st.fixed_dictionaries({"kind": st.just("bloch"),
+                               "coordinates": _vector(n * n - 1)}),
+        st.just({"kind": "preset", "name": "maximally_mixed"}),
+        st.fixed_dictionaries({"kind": st.just("preset"), "name": st.just("basis"),
+                               "index": st.integers(0, n + 1)}),
+    )
+
+
+def _basis_eigenstates(n):
+    return st.permutations(range(n)).map(
+        lambda perm: [{"re": [float(j == i) for j in range(n)]} for i in perm])
+
+
+def _observables(n):
+    eigenstate = st.fixed_dictionaries({"re": _vector(n)}, optional={"im": _vector(n)})
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("canonical")},
+                              optional={"labels": _vector(n)}),
+        st.fixed_dictionaries({
+            "kind": st.just("explicit"),
+            "eigenstates": _basis_eigenstates(n) | st.lists(eigenstate, max_size=n + 1),
+            "labels": _vector(n),
+        }),
+        st.fixed_dictionaries({"kind": st.just("spin_axis"), "axis": _vector(3)})
+        .filter(lambda spec: len(spec["axis"]) == 3),
+    )
+
+
+_membranes = st.one_of(
+    st.just({"kind": "uniform"}),
+    st.just({"kind": "solipsistic"}),
+    st.fixed_dictionaries({"kind": st.just("cellular"),
+                           "weights": st.lists(_weight, max_size=6)}),
+)
+_common = {
+    "seed": st.integers(0, 2**64),
+    "tolerance_sigmas": st.floats(min_value=0.0, exclude_min=True,
+                                  allow_infinity=False),
+}
+_dimension = st.integers(2, 4)
+
+
+def _experiment(name, required=None, optional=None):
+    return st.fixed_dictionaries(
+        {"schema_version": st.just("1"), "experiment": st.just(name),
+         **(required or {})},
+        optional={**_common, **(optional or {})},
+    )
+
+
+def _universal_average(n):
+    return st.integers(1, 20).flatmap(lambda cells: _experiment(
+        "universal-average",
+        {"dimension": st.just(n), "state": _states(n), "observable": _observables(n),
+         "cells": st.just(cells), "membranes": st.integers(1, 20),
+         "trials_per_membrane": st.integers(1, 2000)},
+        {"fixed_cell_weights": _vector(cells, _weight)},
+    ))
+
+
+_configs = st.one_of(
+    _experiment("spin-machine", {"angle": st.floats(0.0, 3.14159265359)},
+                {"trials": st.integers(1, 2000)}),
+    _experiment("verify-born", {"dimension": _dimension},
+                {"states": st.integers(1, 3), "trials": st.integers(1, 2000)}),
+    _experiment("die", None, {
+        "rolls": st.integers(1, 2000),
+        "start": st.sampled_from(["off_table"] + [f"on_table:{k}" for k in range(1, 7)]),
+    }),
+    _dimension.flatmap(_universal_average),
+    _dimension.flatmap(lambda n: _experiment(
+        "measure",
+        {"dimension": st.just(n), "state": _states(n), "observable": _observables(n),
+         "membrane": _membranes},
+    )),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_configs)
+# One trial per membrane, all three land in one block: the Hotelling deviation
+# lies where the frequencies never vary, an infinite statistic.
+@example(config=_ua_config(state={"kind": "pure", "re": [2.0, 1.0]}, cells=2,
+                           membranes=3, trials_per_membrane=1))
+# Equal labels merge both outcomes into one block: nothing is left to test.
+@example(config=_ua_config(state=MIXED, observable={"kind": "canonical",
+                                                    "labels": [0.0, 0.0]},
+                           cells=2, trials_per_membrane=1))
+# An eigenstate with the wrong number of amplitudes and no `im`.
+@example(config=_ua_config(state=MIXED, observable={
+    "kind": "explicit", "eigenstates": [{"re": []}], "labels": []}, cells=1))
+# A solipsistic break on the vertex of a block this state never reaches.
+@example(config=_measure_config(dimension=3, state={"kind": "pure", "re": [1.0, 1.0, 0.0]},
+                                membrane={"kind": "solipsistic"}))
+def test_every_schema_valid_config_exits_0_1_or_2_without_traceback(
+    tmp_path, capsys, config
+):
+    validate_config_payload(config)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    code, _, err = run_cli(capsys, config["experiment"], "--config", str(cfg),
+                           "--out", str(out))
+    if code in (0, 1):
+        payload = json.loads(out.read_text())
+        validate_report_payload(payload)
+        assert payload["pass"] is (code == 0)
+    else:
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -330,6 +330,18 @@ def test_impossible_outcome_raises():
         luders_posterior(d, obs, (1,))
 
 
+def test_solipsistic_single_shot_rejects_a_state_with_an_unreachable_block():
+    # The break lands on any vertex, so for some seeds on vertex 2, whose
+    # outcome this state never gives; every seed is refused alike.
+    obs = canonical_observable(3)
+    d = pure_to_density(PureState.normalized([1.0, 1.0, 0.0]))
+    for t in range(12):
+        with pytest.raises(ConfigError, match="solipsistic"):
+            run_measurement(
+                d, obs, MembraneModel.solipsistic(), RandomSource(7).trial_stream(t)
+            )
+
+
 def test_plan_with_another_observables_simplex_fails_the_oracle():
     d = pure_to_density(PureState.basis_state(2, 0))
     tilted = spin_observable([1.0, 0.0, 1.0])

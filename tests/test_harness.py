@@ -11,6 +11,7 @@ from hm_sim.errors import ConfigError, DimensionError
 from hm_sim.geometry import born_probabilities, canonical_observable
 from hm_sim.harness import (
     ExperimentConfig,
+    _hotelling_check,
     chi_square_check,
     random_pure_state,
     sample_elementary_outcomes,
@@ -195,6 +196,27 @@ def test_chi_square_all_pooled_noise_passes_at_zero_dof():
     assert res.degrees_of_freedom == 0 and res.threshold == 0.0
     assert 0.0 < res.statistic < 1e-20
     assert res.passed
+
+
+@pytest.mark.parametrize("dof", range(1, 8))
+def test_chi_square_threshold_is_the_scipy_stats_quantile(dof):
+    from scipy import stats
+
+    # dof + 1 equiprobable cells of 100 counts each: none is pooled.
+    cells = dof + 1
+    res = chi_square_check([100] * cells, np.full(cells, 1 / cells))
+    assert res.degrees_of_freedom == dof
+    assert res.threshold == stats.chi2.ppf(0.999, dof)
+
+
+@pytest.mark.parametrize("p, k", [(1, 200), (2, 200), (5, 12)])
+def test_hotelling_threshold_is_the_scipy_stats_quantile(p, k):
+    from scipy import stats
+
+    freqs = np.random.default_rng(SEED).dirichlet(np.ones(p + 1), size=k)
+    res = _hotelling_check(freqs, np.full(p + 1, 1 / (p + 1)))
+    assert res.degrees_of_freedom == p
+    assert res.threshold == p * (k - 1) / (k - p) * stats.f.ppf(0.999, p, k - p)
 
 
 def test_single_cell_universal_average_equals_uniform_run():
