@@ -27,7 +27,6 @@ from .dynamics import (
     luders_posterior,
     prepare_measurement,
     run_measurement,
-    sample_breaking_point,
     spin_machine_measure,
 )
 from .errors import (
@@ -42,14 +41,12 @@ from .errors import (
     OracleMismatchError,
 )
 from .geometry import (
-    BarycentricCoordinates,
     MeasurementSimplex,
     Observable,
     barycentric_coordinates,
     born_probabilities,
     build_measurement_simplex,
     canonical_observable,
-    classify_breaking_point,
     project_onto_membrane,
     spin_observable,
     subsimplex_volume_fractions,
@@ -67,7 +64,6 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarycentricCoordinates",
     "BlochVector",
     "ChiSquareResult",
     "CollapseTrace",
@@ -95,7 +91,6 @@ __all__ = [
     "build_measurement_simplex",
     "canonical_observable",
     "chi_square_check",
-    "classify_breaking_point",
     "density_to_bloch",
     "die_measure",
     "die_observable",
@@ -106,7 +101,6 @@ __all__ = [
     "project_onto_membrane",
     "pure_to_density",
     "run_measurement",
-    "sample_breaking_point",
     "sample_elementary_outcomes",
     "simulate_statistics",
     "spin_machine_measure",

@@ -133,7 +133,13 @@ class PureState:
     def normalized(cls, amplitudes) -> "PureState":
         """Build a state from an unnormalized vector; rejects the zero vector."""
         a = np.asarray(amplitudes, dtype=complex)
-        norm = float(np.linalg.norm(a))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(a))
+        if not np.isfinite(norm):
+            # |a|^2 overflowed: rescale by max |a_i| first.  Only here, since
+            # the extra division changes the bits of every other state.
+            a = a / np.abs(a).max()
+            norm = float(np.linalg.norm(a))
         if norm < 1e-12:
             raise InvalidStateError("cannot normalize the zero vector")
         return cls(a.shape[0], a / norm)
@@ -167,10 +173,10 @@ class BlochVector:
                 f"expected {expected} coordinates for N={self.dimension}, "
                 f"got shape {c.shape}"
             )
-        if np.linalg.norm(c) > 1.0 + EIGEN_TOL:
-            raise InvalidStateError(
-                f"norm {np.linalg.norm(c):.12f} exceeds 1; not a point of the ball"
-            )
+        with np.errstate(over="ignore"):  # an overflowing norm is just > 1
+            norm = np.linalg.norm(c)
+        if norm > 1.0 + EIGEN_TOL:
+            raise InvalidStateError(f"norm {norm:.12f} exceeds 1; not a point of the ball")
         object.__setattr__(self, "coordinates", _frozen(c))
 
     @classmethod
@@ -244,9 +250,14 @@ def _layout(dimension: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
 
 def density_to_bloch(state: DensityOperator) -> BlochVector:
     """Map a density operator to its Bloch vector, r_i = N/(2 c_N) Tr(D L_i)."""
-    n = state.dimension
+    return BlochVector(state.dimension, _bloch_coordinates(state.matrix))
+
+
+def _bloch_coordinates(matrix: np.ndarray) -> np.ndarray:
+    """The components N/(2 c_N) Tr(M L_i) of a Hermitian N x N matrix."""
+    n = matrix.shape[0]
     upper, lower, diagonal, c = _layout(n)
-    d = state.matrix.reshape(-1)
+    d = matrix.reshape(-1)
     above, below = d[upper], d[lower]
     # Sequential row sums add the diagonal terms in the order of the dense
     # contraction Tr(D L_l), so every component keeps its bits.
@@ -258,7 +269,7 @@ def density_to_bloch(state: DensityOperator) -> BlochVector:
         )
     # + 0.0 maps the -0.0 of a vanishing sum or difference to the 0.0 that
     # the dense contraction gives.
-    return BlochVector(n, (traces.real + 0.0) * (n / (2.0 * c)))
+    return (traces.real + 0.0) * (n / (2.0 * c))
 
 
 def _bloch_matrix(r: BlochVector) -> np.ndarray:

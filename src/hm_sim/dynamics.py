@@ -48,9 +48,9 @@ from .geometry import (
     build_measurement_simplex,
     canonical_observable,
     classify_weights,
+    project_onto_face,
     project_onto_membrane,
     spin_observable,
-    _orthonormal_frame,
 )
 
 VERTEX_TOL = 1e-10      # a state this close to a vertex is that eigenstate
@@ -206,17 +206,6 @@ def draw_breaks(
     return classify_weights(v, u), v
 
 
-def sample_breaking_point(
-    simplex: MeasurementSimplex, model: MembraneModel, rng: np.random.Generator
-) -> BlochVector:
-    """Draw one membrane breaking point according to the membrane model."""
-    n = simplex.dimension
-    # Where the membrane breaks does not depend on the landed point.
-    outcomes, weights = draw_breaks(model, np.full(n, 1.0 / n), 1, rng)
-    w = np.eye(n)[outcomes[0]] if weights is None else weights[0]
-    return BlochVector(n, simplex.from_barycentric(w))
-
-
 # --- the measurement process -------------------------------------------------
 
 
@@ -246,16 +235,18 @@ class MeasurementPlan:
 
     ``bloch`` is the state point, ``on_membrane`` where it lands on the
     simplex, and ``u`` the barycentric weights of the landed point, which
-    are the Born probabilities.  ``oracle_gap`` is the measured max gap
-    between ``u`` and Tr(D P_i).  ``at_vertex`` is the index of the
-    eigenstate the state sits on (within VERTEX_TOL), else None.  The plan
-    is read-only and shareable across worker threads.
+    are the Born probabilities.  ``born`` holds the Hilbert-space oracle
+    Tr(D P_i) and ``oracle_gap`` its measured max gap to ``u``.
+    ``at_vertex`` is the index of the eigenstate the state sits on (within
+    VERTEX_TOL), else None.  The plan is read-only and shareable across
+    worker threads.
     """
 
     simplex: MeasurementSimplex
     bloch: BlochVector
     on_membrane: BlochVector
     u: np.ndarray
+    born: np.ndarray
     at_vertex: int | None
     oracle_gap: float
 
@@ -280,8 +271,8 @@ def prepare_measurement(
         simplex = build_measurement_simplex(observable)
     r = density_to_bloch(state)
     on_membrane = project_onto_membrane(r, simplex)
-    u = barycentric_coordinates(on_membrane, simplex).weights
-    born = born_probabilities(state, observable).weights
+    u = barycentric_coordinates(on_membrane, simplex)
+    born = born_probabilities(state, observable)
     gap = float(np.max(np.abs(born - u)))
     if gap > ORACLE_TOL:
         raise OracleMismatchError(
@@ -289,24 +280,7 @@ def prepare_measurement(
         )
     vertex_dist = np.linalg.norm(simplex.vertices - r.coordinates, axis=1)
     at_vertex = int(np.argmin(vertex_dist)) if vertex_dist.min() <= VERTEX_TOL else None
-    return MeasurementPlan(simplex, r, on_membrane, u, at_vertex, gap)
-
-
-def _project_onto_face(
-    point: np.ndarray, simplex: MeasurementSimplex, block: tuple[int, ...]
-) -> np.ndarray:
-    """Orthogonal projection onto the affine hull of a vertex subset."""
-    verts = simplex.vertices[list(block)]
-    if len(block) == 1:
-        return verts[0].copy()
-    frame = _orthonormal_frame(verts)
-    rel = point - verts[0]
-    return verts[0] + frame @ (frame.T @ rel)
-
-
-def _block_weight(projector: np.ndarray, state: DensityOperator) -> float:
-    """Tr(P_M D): the probability of the outcome block projected on by P_M."""
-    return float(np.real(np.einsum("ij,ji->", projector, state.matrix)))
+    return MeasurementPlan(simplex, r, on_membrane, u, born, at_vertex, gap)
 
 
 def luders_posterior(
@@ -314,7 +288,7 @@ def luders_posterior(
 ) -> DensityOperator:
     """P_M D P_M / Tr(P_M D P_M) for the projection onto an outcome block."""
     p = observable.projector(block)
-    weight = _block_weight(p, state)
+    weight = float(np.real(np.einsum("ij,ji->", p, state.matrix)))
     if weight <= MIN_BLOCK_PROB:
         raise ImpossibleOutcomeError(
             f"outcome block {block} has probability {weight:.3e}; "
@@ -348,7 +322,7 @@ def run_measurement(
             # A solipsistic break may land on any vertex; a block the state
             # cannot reach has no Lueders posterior to collapse to.
             for blk in observable.degeneracy_partition:
-                if _block_weight(observable.projector(blk), state) <= MIN_BLOCK_PROB:
+                if plan.born[list(blk)].sum() <= MIN_BLOCK_PROB:
                     raise ConfigError(
                         f"a solipsistic membrane can break into outcome block {blk}, "
                         "which has probability 0 for this state"
@@ -358,7 +332,7 @@ def run_measurement(
     break_w = np.eye(n)[elementary] if weights is None else weights[0]
 
     block = observable.block_of(elementary)
-    intermediate = _project_onto_face(plan.on_membrane.coordinates, simplex, block)
+    intermediate = project_onto_face(plan.on_membrane, simplex, block)
     posterior = luders_posterior(state, observable, block)
     final = density_to_bloch(posterior)
 
@@ -377,7 +351,7 @@ def run_measurement(
         breaking_point=BlochVector(n, simplex.from_barycentric(break_w)),
         outcome_block=block,
         outcome_label=observable.eigenvalue_labels[block[0]],
-        intermediate_point=BlochVector(n, intermediate),
+        intermediate_point=intermediate,
         final_state=final,
         polar_angle=polar,
     )

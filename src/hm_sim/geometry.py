@@ -23,9 +23,8 @@ from .bloch import (
     BlochVector,
     DensityOperator,
     PureState,
+    _bloch_coordinates,
     _frozen,
-    density_to_bloch,
-    pure_to_density,
 )
 from .errors import (
     DimensionError,
@@ -129,37 +128,6 @@ def spin_observable(axis) -> Observable:
 
 
 @dataclass(frozen=True)
-class BarycentricCoordinates:
-    """N non-negative weights summing to 1 (clamped to [0, 1] on output)."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise GeometryError(f"weights sum to {w.sum()}, expected 1")
-        if w.min() < 0.0 or w.max() > 1.0:
-            raise GeometryError("weights not clamped to [0, 1]")
-        object.__setattr__(self, "weights", _frozen(w))
-
-    @classmethod
-    def clamped(cls, raw: np.ndarray) -> "BarycentricCoordinates":
-        """Clamp float noise of magnitude <= 1e-10 and renormalize.
-
-        Anything more negative is a genuine geometry violation and raises.
-        """
-        raw = np.asarray(raw, dtype=float)
-        low = float(raw.min())
-        if low < -CLAMP_TOL:
-            raise InvalidMembranePointError(
-                f"barycentric weight {low:.3e} is negative beyond tolerance; "
-                "point lies outside the simplex"
-            )
-        w = np.clip(raw, 0.0, 1.0)
-        return cls(w / w.sum())
-
-
-@dataclass(frozen=True)
 class MeasurementSimplex:
     """The regular (N-1)-simplex of an observable's eigenstate Bloch vectors.
 
@@ -171,8 +139,7 @@ class MeasurementSimplex:
 
     dimension: int
     vertices: np.ndarray
-    frame: np.ndarray = field(init=False)          # (N^2-1, N-1), orthonormal columns
-    local_vertices: np.ndarray = field(init=False)  # (N, N-1) coords in the frame
+    frame: np.ndarray = field(init=False)  # (N^2-1, N-1), orthonormal columns
 
     def __post_init__(self):
         n = self.dimension
@@ -197,19 +164,13 @@ class MeasurementSimplex:
             raise GeometryError("vertices are not affinely independent")
         object.__setattr__(self, "vertices", _frozen(v))
         object.__setattr__(self, "frame", _frozen(frame))
-        object.__setattr__(
-            self, "local_vertices", _frozen((v - v[0]) @ frame)
-        )
-
-    def to_local(self, point: np.ndarray) -> np.ndarray:
-        return (np.asarray(point, dtype=float) - self.vertices[0]) @ self.frame
 
     def from_barycentric(self, weights: np.ndarray) -> np.ndarray:
         return np.asarray(weights, dtype=float) @ self.vertices
 
     def hull_distance(self, point: np.ndarray) -> float:
-        rel = np.asarray(point, dtype=float) - self.vertices[0]
-        return float(np.linalg.norm(rel - self.frame @ (self.frame.T @ rel)))
+        p = np.asarray(point, dtype=float)
+        return float(np.linalg.norm(p - _affine_projection(p, self.vertices[0], self.frame)))
 
 
 def _orthonormal_frame(vertices: np.ndarray) -> np.ndarray:
@@ -228,21 +189,59 @@ def _orthonormal_frame(vertices: np.ndarray) -> np.ndarray:
 
 
 def build_measurement_simplex(observable: Observable) -> MeasurementSimplex:
-    """Map each eigenstate through the Bloch representation and assemble."""
+    """Map each eigenstate's projector |n_i><n_i| to its Bloch vector and assemble."""
     rows = [
-        density_to_bloch(pure_to_density(s)).coordinates
+        _bloch_coordinates(np.outer(s.amplitudes, s.amplitudes.conj()))
         for s in observable.eigenstates
     ]
     return MeasurementSimplex(observable.dimension, np.stack(rows))
+
+
+def _affine_projection(
+    point: np.ndarray, base: np.ndarray, frame: np.ndarray
+) -> np.ndarray:
+    """base + Q Q^T (point - base): onto the affine span of Q's columns at base."""
+    return base + frame @ (frame.T @ (point - base))
 
 
 def project_onto_membrane(r: BlochVector, simplex: MeasurementSimplex) -> BlochVector:
     """Orthogonal projection of a state point onto the membrane's affine hull."""
     if r.dimension != simplex.dimension:
         raise DimensionError("state and simplex dimensions differ")
-    rel = r.coordinates - simplex.vertices[0]
-    q = simplex.frame
-    return BlochVector(r.dimension, simplex.vertices[0] + q @ (q.T @ rel))
+    return BlochVector(
+        r.dimension,
+        _affine_projection(r.coordinates, simplex.vertices[0], simplex.frame),
+    )
+
+
+def project_onto_face(
+    point: BlochVector, simplex: MeasurementSimplex, block: tuple[int, ...]
+) -> BlochVector:
+    """Orthogonal projection of a point onto the face spanned by a vertex subset."""
+    verts = simplex.vertices[list(block)]
+    if len(block) == 1:
+        return BlochVector(point.dimension, verts[0])
+    return BlochVector(
+        point.dimension,
+        _affine_projection(point.coordinates, verts[0], _orthonormal_frame(verts)),
+    )
+
+
+def _clamped(raw: np.ndarray) -> np.ndarray:
+    """Clamp weights negative by float noise (<= CLAMP_TOL) and renormalize.
+
+    Anything more negative is a genuine geometry violation and raises.  The
+    result is N read-only weights in [0, 1] summing to 1.
+    """
+    raw = np.asarray(raw, dtype=float)
+    low = float(raw.min())
+    if low < -CLAMP_TOL:
+        raise InvalidMembranePointError(
+            f"barycentric weight {low:.3e} is negative beyond tolerance; "
+            "point lies outside the simplex"
+        )
+    w = np.clip(raw, 0.0, 1.0)
+    return _frozen(w / w.sum())
 
 
 def _barycentric_raw(point: np.ndarray, simplex: MeasurementSimplex) -> np.ndarray:
@@ -256,12 +255,12 @@ def _barycentric_raw(point: np.ndarray, simplex: MeasurementSimplex) -> np.ndarr
 
 def barycentric_coordinates(
     point: BlochVector, simplex: MeasurementSimplex
-) -> BarycentricCoordinates:
+) -> np.ndarray:
     """Weights w with point = sum_i w_i n_i and sum w_i = 1.
 
     The point must lie in the membrane's affine hull (within 1e-8) and
     inside the simplex up to float noise; clamping and error thresholds
-    follow ``BarycentricCoordinates.clamped``.
+    follow ``_clamped``.
     """
     if point.dimension != simplex.dimension:
         raise DimensionError("point and simplex dimensions differ")
@@ -271,12 +270,10 @@ def barycentric_coordinates(
         raise GeometryError(
             f"point lies {dist:.3e} from the membrane's affine hull"
         )
-    return BarycentricCoordinates.clamped(_barycentric_raw(p, simplex))
+    return _clamped(_barycentric_raw(p, simplex))
 
 
-def born_probabilities(
-    state: DensityOperator, observable: Observable
-) -> BarycentricCoordinates:
+def born_probabilities(state: DensityOperator, observable: Observable) -> np.ndarray:
     """Hilbert-space outcome probabilities p_i = Tr(D P_i) = <n_i| D |n_i>.
 
     This is the oracle route against which the membrane geometry is checked.
@@ -289,7 +286,7 @@ def born_probabilities(
             for s in observable.eigenstates
         ]
     )
-    return BarycentricCoordinates.clamped(probs)
+    return _clamped(probs)
 
 
 def _sqrt_gram_volume(points: np.ndarray) -> float:
@@ -305,7 +302,7 @@ def _sqrt_gram_volume(points: np.ndarray) -> float:
 
 def subsimplex_volume_fractions(
     on_membrane: BlochVector, simplex: MeasurementSimplex
-) -> BarycentricCoordinates:
+) -> np.ndarray:
     """Volume fraction of each tension-line sub-simplex.
 
     Sub-simplex i is conv({p} union {n_j : j != i}); its volume divided by
@@ -319,13 +316,15 @@ def subsimplex_volume_fractions(
     if simplex.hull_distance(p) > HULL_TOL:
         raise GeometryError("point is not on the membrane")
     n = simplex.dimension
-    local_p = simplex.to_local(p)
-    total = _sqrt_gram_volume(simplex.local_vertices)
+    base, frame = simplex.vertices[0], simplex.frame
+    corners = (simplex.vertices - base) @ frame
+    local_p = (p - base) @ frame
+    total = _sqrt_gram_volume(corners)
     if total < 1e-12:
         raise GeometryError("degenerate simplex: zero volume")
     fractions = np.empty(n)
     for i in range(n):
-        pts = simplex.local_vertices.copy()
+        pts = corners.copy()
         pts[i] = local_p
         fractions[i] = _sqrt_gram_volume(pts) / total
     if abs(fractions.sum() - 1.0) > 1e-8:
@@ -333,7 +332,7 @@ def subsimplex_volume_fractions(
             f"sub-simplex volumes sum to {fractions.sum():.9f}; "
             "point lies outside the simplex"
         )
-    return BarycentricCoordinates.clamped(fractions / fractions.sum())
+    return _clamped(fractions / fractions.sum())
 
 
 def classify_weights(v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -355,14 +354,3 @@ def classify_weights(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     if zero.any():
         ratios[..., zero] = np.inf
     return np.argmin(ratios, axis=-1)
-
-
-def classify_breaking_point(
-    breaking_point: BlochVector,
-    on_membrane: BlochVector,
-    simplex: MeasurementSimplex,
-) -> int:
-    """Outcome index of a membrane breaking point (see ``classify_weights``)."""
-    v = barycentric_coordinates(breaking_point, simplex).weights
-    u = barycentric_coordinates(on_membrane, simplex).weights
-    return int(classify_weights(v, u))

@@ -38,12 +38,7 @@ from .dynamics import (
     prepare_measurement,
 )
 from .errors import ConfigError, DimensionError, OracleMismatchError
-from .geometry import (
-    Observable,
-    born_probabilities,
-    canonical_observable,
-    spin_observable,
-)
+from .geometry import Observable, canonical_observable, spin_observable
 
 # Trials per chunk.  Fixed: chunk boundaries define the random streams, so
 # changing this constant changes results, but worker counts never do.
@@ -279,7 +274,7 @@ class ConvergenceReport:
             raise OracleMismatchError("empirical frequencies must sum to 1")
 
 
-def _block_structure(state: DensityOperator, observable: Observable):
+def _block_structure(observable: Observable, born: np.ndarray):
     """Block labels, the elementary-to-block index map and Born block weights."""
     blocks = observable.degeneracy_partition
     labels = tuple(observable.eigenvalue_labels[b[0]] for b in blocks)
@@ -287,7 +282,6 @@ def _block_structure(state: DensityOperator, observable: Observable):
     for bi, block in enumerate(blocks):
         for i in block:
             elem_to_block[i] = bi
-    born = born_probabilities(state, observable).weights
     oracle_blocks = np.array([born[list(b)].sum() for b in blocks])
     return labels, elem_to_block, oracle_blocks
 
@@ -333,11 +327,12 @@ def simulate_statistics(
 ) -> ConvergenceReport:
     """Run the configured experiment and compare frequencies to the oracle."""
     state, observable, model = config.resolve()
-    labels, elem_to_block, oracle_blocks = _block_structure(state, observable)
+    plan = prepare_measurement(state, observable)
+    labels, elem_to_block, oracle_blocks = _block_structure(observable, plan.born)
 
     source = RandomSource(config.master_seed)
     outcomes = sample_elementary_outcomes(
-        state, observable, model, config.trials, source, job, workers
+        state, observable, model, config.trials, source, job, workers, plan=plan
     )
     counts = _block_counts(outcomes, elem_to_block, len(labels))
     sigma = np.sqrt(oracle_blocks * (1 - oracle_blocks) / config.trials)
@@ -367,25 +362,26 @@ def _hotelling_check(
     """
     k, b = membrane_freqs.shape
     p = b - 1
-    if p == 0 or k <= p + 1:
-        # One block leaves no frequency free to test, or too few membranes to
-        # estimate the covariance; leave the decision to the sigma bands.
-        return ChiSquareResult(0.0, 0, 0.0, True)
-    x = membrane_freqs[:, :p]
-    diff = x.mean(axis=0) - oracle_blocks[:p]
-    cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
-    pinv = np.linalg.pinv(cov)
-    if np.linalg.norm(cov @ (pinv @ diff) - diff) > 1e-12 * (1 + np.linalg.norm(diff)):
-        # Deviation along a zero-variance direction: infinitely significant.
-        return ChiSquareResult(float("inf"), p, 0.0, False)
-    t2 = float(k * diff @ pinv @ diff)
-    scale = p * (k - 1) / (k - p)
-    # Imported here so that `measure` and `import hm_sim` never load scipy.
-    from scipy.special import fdtri
+    if p >= 1 and k > p + 1:
+        x = membrane_freqs[:, :p]
+        diff = x.mean(axis=0) - oracle_blocks[:p]
+        cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
+        pinv = np.linalg.pinv(cov)
+        off_range = np.linalg.norm(cov @ (pinv @ diff) - diff)
+        if off_range <= 1e-12 * (1 + np.linalg.norm(diff)):
+            t2 = float(k * diff @ pinv @ diff)
+            scale = p * (k - 1) / (k - p)
+            # Imported here so that `measure` and `import hm_sim` never load scipy.
+            from scipy.special import fdtri
 
-    # The F quantile, as scipy.stats.f.ppf computes it.
-    threshold = scale * float(fdtri(p, k - p, quantile))
-    return ChiSquareResult(t2, p, threshold, bool(t2 <= threshold))
+            # The F quantile, as scipy.stats.f.ppf computes it.
+            threshold = scale * float(fdtri(p, k - p, quantile))
+            return ChiSquareResult(t2, p, threshold, bool(t2 <= threshold))
+    # One block leaves no frequency free to test, too few membranes cannot
+    # estimate the covariance, and a deviation outside its range lies along a
+    # direction in which the membrane frequencies never varied (few trials per
+    # membrane), which T^2 cannot weigh: the sigma bands decide instead.
+    return ChiSquareResult(0.0, 0, 0.0, True)
 
 
 def universal_average_experiment(
@@ -429,7 +425,7 @@ def universal_average_experiment(
     state_op = resolve_state_spec(state, dimension)
     observable_op = resolve_observable_spec(observable, dimension)
     plan = prepare_measurement(state_op, observable_op)
-    labels, elem_to_block, oracle_blocks = _block_structure(state_op, observable_op)
+    labels, elem_to_block, oracle_blocks = _block_structure(observable_op, plan.born)
 
     source = RandomSource(master_seed)
     k, n = membrane_samples, trials_per_membrane

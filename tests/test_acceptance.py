@@ -92,9 +92,9 @@ def test_criterion_2_born_geometry_analytic_identity():
             source = RandomSource(SEED)
             for i in range(100):
                 state = pure_to_density(random_pure_state(source, i, n))
-                born = born_probabilities(state, observable).weights
+                born = born_probabilities(state, observable)
                 landed = project_onto_membrane(density_to_bloch(state), simplex)
-                geometric = barycentric_coordinates(landed, simplex).weights
+                geometric = barycentric_coordinates(landed, simplex)
                 worst = max(worst, float(np.max(np.abs(geometric - born))))
         assert worst <= 1e-9, f"max gap {worst:.3e}"
         elapsed = time.perf_counter() - start
@@ -186,7 +186,7 @@ def test_criterion_5_luders_conformance():
             assert len(seen) >= 2
 
             # block frequency vs the summed Born weights, 4 sigma at 1e5
-            born = born_probabilities(state, observable).weights
+            born = born_probabilities(state, observable)
             block_p = born[0] + born[1]
             cfg = ExperimentConfig(
                 dimension=n,

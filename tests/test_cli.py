@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -356,6 +357,17 @@ def test_schema_valid_bad_inputs_exit_2_without_traceback(tmp_path, capsys, conf
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_measure_normalizes_amplitudes_whose_squares_overflow(tmp_path, capsys):
+    # |a|^2 overflows a double here, but the state is just [1, 1]/sqrt(2).
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_measure_config(state={"kind": "pure", "re": [1e200, 1e200]})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "measure", "--config", str(cfg))
+    assert code == 0, err
+    assert json.loads(out)["trace"]["initial_state"] == pytest.approx([1.0, 0.0, 0.0])
+
+
 def test_fixed_cell_weights_must_match_cells(tmp_path, capsys):
     cfg = tmp_path / "ua.json"
     cfg.write_text(json.dumps(_ua_config(fixed_cell_weights=[0.5, 0.5])))
@@ -535,7 +547,7 @@ _configs = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=_configs)
 # One trial per membrane, all three land in one block: the Hotelling deviation
-# lies where the frequencies never vary, an infinite statistic.
+# lies where the frequencies never vary, so the sigma bands decide alone.
 @example(config=_ua_config(state={"kind": "pure", "re": [2.0, 1.0]}, cells=2,
                            membranes=3, trials_per_membrane=1))
 # Equal labels merge both outcomes into one block: nothing is left to test.

@@ -21,16 +21,15 @@ from hm_sim.dynamics import (
     die_measure,
     die_observable,
     die_state,
+    draw_breaks,
     luders_posterior,
     prepare_measurement,
     run_measurement,
-    sample_breaking_point,
     spin_machine_measure,
 )
 from hm_sim.errors import ConfigError, ImpossibleOutcomeError, OracleMismatchError
 from hm_sim.geometry import (
     Observable,
-    barycentric_coordinates,
     born_probabilities,
     build_measurement_simplex,
     canonical_observable,
@@ -41,6 +40,15 @@ from hm_sim.geometry import (
 
 def make_simplex(n, labels=None):
     return build_measurement_simplex(canonical_observable(n, labels))
+
+
+def break_weights(model, n, count, rng):
+    """Barycentric weights of ``count`` breaking points of the membrane model.
+
+    Where the membrane breaks does not depend on the landed point, so any
+    ``u`` serves; the centroid's.
+    """
+    return draw_breaks(model, np.full(n, 1.0 / n), count, rng)[1]
 
 
 def test_random_source_streams_are_reproducible_and_independent():
@@ -74,36 +82,29 @@ def test_membrane_model_validation():
 def test_uniform_sampling_centers_on_segment_midpoint():
     s = make_simplex(2)
     rng = RandomSource(1).trial_stream(0)
-    model = MembraneModel.uniform()
-    pts = np.array(
-        [sample_breaking_point(s, model, rng).coordinates[2] for _ in range(100000)]
-    )
+    pts = break_weights(MembraneModel.uniform(), 2, 100000, rng) @ s.vertices[:, 2]
     # z-coordinate uniform on [-1, 1]: mean 0, variance 1/3
     assert abs(pts.mean()) <= 3 * math.sqrt(1 / 3 / len(pts))
 
 
 def test_solipsistic_sampling_hits_only_vertices_uniformly():
-    s = make_simplex(6)
     rng = RandomSource(2).trial_stream(0)
-    model = MembraneModel.solipsistic()
     trials = 30000
-    hits = np.zeros(6, int)
-    for _ in range(trials):
-        p = sample_breaking_point(s, model, rng)
-        dists = np.linalg.norm(s.vertices - p.coordinates, axis=1)
-        assert dists.min() <= 1e-12
-        hits[int(np.argmin(dists))] += 1
-    freq = hits / trials
+    # A solipsistic break is a vertex: it has an outcome and no interior weights.
+    outcomes, weights = draw_breaks(
+        MembraneModel.solipsistic(), np.full(6, 1 / 6), trials, rng
+    )
+    assert weights is None
+    freq = np.bincount(outcomes, minlength=6) / trials
     band = 3 * math.sqrt((1 / 6) * (5 / 6) / trials)
     assert np.all(np.abs(freq - 1 / 6) <= band)
 
 
 def test_single_cell_membrane_is_drawwise_uniform():
-    s = make_simplex(3)
     one_cell = MembraneModel.cellular([1.0])
-    a = sample_breaking_point(s, MembraneModel.uniform(), RandomSource(3).trial_stream(5))
-    b = sample_breaking_point(s, one_cell, RandomSource(3).trial_stream(5))
-    np.testing.assert_array_equal(a.coordinates, b.coordinates)
+    a = break_weights(MembraneModel.uniform(), 3, 5, RandomSource(3).trial_stream(5))
+    b = break_weights(one_cell, 3, 5, RandomSource(3).trial_stream(5))
+    np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("n,m", [(2, 10), (3, 7), (4, 12)])
@@ -124,14 +125,9 @@ def test_cellular_sampling_respects_cell_weights(n, m):
     rng_w = np.random.default_rng(77)
     weights = rng_w.dirichlet(np.ones(m))
     model = MembraneModel.cellular(weights)
-    s = make_simplex(n)
     stream = RandomSource(9).trial_stream(1)
     draws = 12000
-    pts = np.array(
-        [sample_breaking_point(s, model, stream).coordinates for _ in range(draws)]
-    )
-    bary = np.array([barycentric_coordinates(BlochVector(n, p), s).weights for p in pts])
-    idx = cell_index_of_weights(bary, m, n)
+    idx = cell_index_of_weights(break_weights(model, n, draws, stream), m, n)
     freq = np.bincount(idx, minlength=m) / draws
     band = 4 * np.sqrt(weights * (1 - weights) / draws) + 1e-9
     assert np.all(np.abs(freq - weights) <= band)
@@ -143,17 +139,14 @@ def test_random_cellular_membranes_average_to_uniform():
     # many random membranes, the mean occupancy of every cell of a finer
     # partition must sit at 1/fine within the between-membrane standard error.
     n, m = 3, 8
-    s = make_simplex(n)
     rng_w = np.random.default_rng(123)
     stream = RandomSource(124).trial_stream(0)
     fine, membranes, draws = 16, 120, 400
     freqs = np.zeros((membranes, fine))
     for k in range(membranes):
         model = MembraneModel.cellular(rng_w.dirichlet(np.ones(m)))
-        for _ in range(draws):
-            p = sample_breaking_point(s, model, stream)
-            w = barycentric_coordinates(p, s).weights
-            freqs[k, int(cell_index_of_weights(w[None, :], fine, n)[0])] += 1
+        w = break_weights(model, n, draws, stream)
+        freqs[k] = np.bincount(cell_index_of_weights(w, fine, n), minlength=fine)
     freqs /= draws
     mean = freqs.mean(axis=0)
     se = freqs.std(axis=0, ddof=1) / np.sqrt(membranes)
@@ -227,7 +220,7 @@ def test_degenerate_block_probability_matches_born_sum():
     s = build_measurement_simplex(obs)
     rng_states = np.random.default_rng(61)
     d = pure_to_density(random_pure(rng_states, 3))
-    p = born_probabilities(d, obs).weights
+    p = born_probabilities(d, obs)
     expected_block = p[0] + p[1]
     trials = 20000
     hits = 0
@@ -304,7 +297,7 @@ def test_full_pipeline_on_random_eigenbasis():
     outcomes = sample_elementary_outcomes(
         d, obs, MembraneModel.uniform(), 100000, RandomSource(41), plan=plan
     )
-    born = born_probabilities(d, obs).weights
+    born = born_probabilities(d, obs)
     freq = np.bincount(outcomes, minlength=n) / len(outcomes)
     band = 4 * np.sqrt(born * (1 - born) / len(outcomes))
     assert np.all(np.abs(freq - born) <= band)

@@ -25,7 +25,8 @@ from hm_sim.geometry import (
     born_probabilities,
     build_measurement_simplex,
     canonical_observable,
-    classify_breaking_point,
+    classify_weights,
+    project_onto_face,
     project_onto_membrane,
     spin_observable,
     subsimplex_volume_fractions,
@@ -99,7 +100,7 @@ def test_projection_of_center_is_centroid(n):
     s = make_simplex(n)
     p = project_onto_membrane(BlochVector.center(n), s)
     np.testing.assert_allclose(p.coordinates, s.vertices.mean(axis=0), atol=1e-12)
-    w = barycentric_coordinates(p, s).weights
+    w = barycentric_coordinates(p, s)
     np.testing.assert_allclose(w, np.full(n, 1.0 / n), atol=1e-12)
 
 
@@ -118,13 +119,13 @@ def test_projection_residual_orthogonal_to_edges(n):
 
 def test_barycentric_examples():
     s = make_simplex(3)
-    w = barycentric_coordinates(BlochVector(3, s.vertices[0]), s).weights
+    w = barycentric_coordinates(BlochVector(3, s.vertices[0]), s)
     np.testing.assert_allclose(w, [1, 0, 0], atol=1e-12)
 
     s2 = make_simplex(2)
     for theta in (0.4, math.pi / 3, 2.0):
         p = BlochVector(2, np.array([0, 0, math.cos(theta)]))
-        w = barycentric_coordinates(p, s2).weights
+        w = barycentric_coordinates(p, s2)
         np.testing.assert_allclose(
             w,
             [math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2],
@@ -154,10 +155,10 @@ def test_born_probabilities_examples():
     obs = canonical_observable(3)
     d = pure_to_density(PureState.basis_state(3, 1))
     np.testing.assert_allclose(
-        born_probabilities(d, obs).weights, [0, 1, 0], atol=1e-14
+        born_probabilities(d, obs), [0, 1, 0], atol=1e-14
     )
     np.testing.assert_allclose(
-        born_probabilities(DensityOperator.maximally_mixed(3), obs).weights,
+        born_probabilities(DensityOperator.maximally_mixed(3), obs),
         np.full(3, 1 / 3),
         atol=1e-14,
     )
@@ -166,7 +167,7 @@ def test_born_probabilities_examples():
 
     d2 = bloch_to_density(n2_state(math.pi / 3))
     np.testing.assert_allclose(
-        born_probabilities(d2, canonical_observable(2)).weights,
+        born_probabilities(d2, canonical_observable(2)),
         [0.75, 0.25],
         atol=1e-12,
     )
@@ -182,14 +183,14 @@ def test_born_geometry_identity(n):
     for _ in range(25):
         d = pure_to_density(random_pure(rng, n))
         r = density_to_bloch(d)
-        w = barycentric_coordinates(project_onto_membrane(r, s), s).weights
-        p = born_probabilities(d, obs).weights
+        w = barycentric_coordinates(project_onto_membrane(r, s), s)
+        p = born_probabilities(d, obs)
         assert np.max(np.abs(w - p)) <= 1e-9
     for _ in range(10):
         d = random_density(rng, n)
         r = density_to_bloch(d)
-        w = barycentric_coordinates(project_onto_membrane(r, s), s).weights
-        p = born_probabilities(d, obs).weights
+        w = barycentric_coordinates(project_onto_membrane(r, s), s)
+        p = born_probabilities(d, obs)
         assert np.max(np.abs(w - p)) <= 1e-9
 
 
@@ -197,13 +198,13 @@ def test_subsimplex_volume_examples():
     s = make_simplex(3)
     centroid = BlochVector(3, s.vertices.mean(axis=0))
     np.testing.assert_allclose(
-        subsimplex_volume_fractions(centroid, s).weights,
+        subsimplex_volume_fractions(centroid, s),
         np.full(3, 1 / 3),
         atol=1e-12,
     )
     midpoint = BlochVector(3, (s.vertices[1] + s.vertices[2]) / 2)
     np.testing.assert_allclose(
-        subsimplex_volume_fractions(midpoint, s).weights,
+        subsimplex_volume_fractions(midpoint, s),
         [0.0, 0.5, 0.5],
         atol=1e-12,
     )
@@ -216,8 +217,8 @@ def test_volume_and_solve_routes_agree(n):
     for _ in range(20):
         w = rng.dirichlet(np.ones(n))
         p = BlochVector(n, s.from_barycentric(w))
-        via_volumes = subsimplex_volume_fractions(p, s).weights
-        via_solve = barycentric_coordinates(p, s).weights
+        via_volumes = subsimplex_volume_fractions(p, s)
+        via_solve = barycentric_coordinates(p, s)
         assert np.max(np.abs(via_volumes - via_solve)) <= 1e-9
         assert np.max(np.abs(via_solve - w)) <= 1e-9
 
@@ -240,17 +241,18 @@ def test_classify_examples():
     s = make_simplex(3)
     centroid = BlochVector(3, s.vertices.mean(axis=0))
     midpoint = BlochVector(3, (s.vertices[1] + s.vertices[2]) / 2)
+    u = barycentric_coordinates(centroid, s)
     # Breaking on the far edge detaches anchors n_2, n_3: outcome is index 0.
-    assert classify_breaking_point(midpoint, centroid, s) == 0
+    assert classify_weights(barycentric_coordinates(midpoint, s), u) == 0
     # Breaking exactly at the landed point: tie among all, lowest index wins.
-    assert classify_breaking_point(centroid, centroid, s) == 0
+    assert classify_weights(u, u) == 0
     # Near a vertex the outcome is never that vertex (it anchors the other
     # subregions, not its own).
     for eps in (1e-3, 1e-6):
         x = BlochVector(
             3, s.from_barycentric(np.array([1 - eps, eps * 0.6, eps * 0.4]))
         )
-        assert classify_breaking_point(x, centroid, s) in (1, 2)
+        assert classify_weights(barycentric_coordinates(x, s), u) in (1, 2)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 6))
@@ -261,7 +263,7 @@ def test_classify_matches_membership_oracle(n):
         u = rng.dirichlet(np.ones(n))
         p = BlochVector(n, s.from_barycentric(u))
         x = BlochVector(n, s.from_barycentric(rng.dirichlet(np.ones(n))))
-        got = classify_breaking_point(x, p, s)
+        got = classify_weights(barycentric_coordinates(x, s), barycentric_coordinates(p, s))
         expected = _membership_oracle(x.coordinates, p.coordinates, s.vertices)
         assert got == expected
 
@@ -291,7 +293,43 @@ def test_classify_rejects_points_outside_simplex():
     t = 1.6
     outside = BlochVector(3, (1 - t) * s.vertices[0] + t * centroid.coordinates)
     with pytest.raises(GeometryError):
-        classify_breaking_point(outside, centroid, s)
+        classify_weights(
+            barycentric_coordinates(outside, s), barycentric_coordinates(centroid, s)
+        )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_simplex_rows_are_the_eigenstate_bloch_vectors(n):
+    # The simplex reads each row off |n_i><n_i| directly; it must equal the
+    # public map applied to the eigenstate's density operator, bit for bit.
+    rng = np.random.default_rng(1100 + n)
+    frame = random_orthonormal_frame(rng, n)
+    labels = tuple(float(i) for i in range(n))
+    random_basis = tuple(PureState(n, frame[:, k]) for k in range(n))
+    for obs in (canonical_observable(n), Observable(n, random_basis, labels)):
+        s = build_measurement_simplex(obs)
+        for row, psi in zip(s.vertices, obs.eigenstates):
+            np.testing.assert_array_equal(
+                row, density_to_bloch(pure_to_density(psi)).coordinates
+            )
+
+
+@pytest.mark.parametrize("n,block", [(3, (0, 1)), (4, (1, 3)), (6, (0, 2, 5)), (4, (2,))])
+def test_face_projection_matches_closed_form(n, block):
+    # The face of block M is the regular sub-simplex of its vertices; from
+    # n_i . n_j = -1/(N-1), projecting the point with weights u onto it gives
+    # weights u_i + (1 - sum_M u)/|M| on M and 0 elsewhere.
+    rng = np.random.default_rng(1200 + n)
+    s = make_simplex(n)
+    for _ in range(10):
+        u = rng.dirichlet(np.ones(n))
+        landed = BlochVector(n, s.from_barycentric(u))
+        w = np.zeros(n)
+        idx = list(block)
+        w[idx] = u[idx] + (1.0 - u[idx].sum()) / len(block)
+        got = project_onto_face(landed, s, block)
+        np.testing.assert_allclose(got.coordinates, s.from_barycentric(w), atol=1e-12)
+    assert np.array_equal(project_onto_face(landed, s, (1,)).coordinates, s.vertices[1])
 
 
 def test_spin_observable_vertices_align_with_axis():

@@ -63,7 +63,7 @@ def test_random_state_conformance(n):
         master_seed=SEED + n,
     )
     report = simulate_statistics(cfg)
-    oracle = born_probabilities(pure_to_density(psi), canonical_observable(n)).weights
+    oracle = born_probabilities(pure_to_density(psi), canonical_observable(n))
     np.testing.assert_allclose(report.oracle_probabilities, oracle, atol=1e-12)
     assert report.passed
 
@@ -86,7 +86,7 @@ def test_degenerate_blocks_aggregate_oracle():
         master_seed=11,
     )
     report = simulate_statistics(cfg)
-    elem = born_probabilities(pure_to_density(psi), canonical_observable(4)).weights
+    elem = born_probabilities(pure_to_density(psi), canonical_observable(4))
     expected_blocks = np.array([elem[0] + elem[2], elem[1], elem[3]])
     assert report.block_labels == (1.0, 2.0, 3.0)
     np.testing.assert_allclose(report.oracle_probabilities, expected_blocks, atol=1e-9)
@@ -217,6 +217,15 @@ def test_hotelling_threshold_is_the_scipy_stats_quantile(p, k):
     res = _hotelling_check(freqs, np.full(p + 1, 1 / (p + 1)))
     assert res.degrees_of_freedom == p
     assert res.threshold == p * (k - 1) / (k - p) * stats.f.ppf(0.999, p, k - p)
+
+
+def test_hotelling_defers_to_the_sigma_bands_when_membranes_never_vary():
+    # Three one-trial membranes, all in block 0: the deviation from the
+    # oracle lies along a direction with zero sample variance, which says
+    # nothing about the between-membrane spread.
+    res = _hotelling_check(np.array([[1.0, 0.0]] * 3), np.array([0.8, 0.2]))
+    assert (res.statistic, res.degrees_of_freedom, res.threshold) == (0.0, 0, 0.0)
+    assert res.passed
 
 
 def test_single_cell_universal_average_equals_uniform_run():
