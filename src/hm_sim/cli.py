@@ -126,6 +126,7 @@ def _verify_born(args) -> tuple[dict, bool]:
     seed = resolve_seed(args.seed, None if cfg is None else cfg.get("seed"))
 
     source = RandomSource(seed)
+    observable = resolve_observable_spec({"kind": "canonical"}, dim)
     entries = []
     all_pass = True
     for i in range(states):
@@ -135,10 +136,7 @@ def _verify_born(args) -> tuple[dict, bool]:
             "re": psi.amplitudes.real.tolist(),
             "im": psi.amplitudes.imag.tolist(),
         }
-        gap = born_identity_max_gap(
-            pure_to_density(psi),
-            resolve_observable_spec({"kind": "canonical"}, dim),
-        )
+        gap = born_identity_max_gap(pure_to_density(psi), observable)
         config = ExperimentConfig(
             dimension=dim,
             state=state_spec,

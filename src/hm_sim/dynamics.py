@@ -41,11 +41,9 @@ from .errors import (
     OracleMismatchError,
 )
 from .geometry import (
-    MeasurementSimplex,
     Observable,
     barycentric_coordinates,
     born_probabilities,
-    build_measurement_simplex,
     canonical_observable,
     classify_weights,
     project_onto_face,
@@ -233,16 +231,15 @@ class CollapseTrace:
 class MeasurementPlan:
     """One measurement of a state, prepared once and shared by every trial.
 
-    ``bloch`` is the state point, ``on_membrane`` where it lands on the
-    simplex, and ``u`` the barycentric weights of the landed point, which
-    are the Born probabilities.  ``born`` holds the Hilbert-space oracle
-    Tr(D P_i) and ``oracle_gap`` its measured max gap to ``u``.
-    ``at_vertex`` is the index of the eigenstate the state sits on (within
-    VERTEX_TOL), else None.  The plan is read-only and shareable across
-    worker threads.
+    ``bloch`` is the state point, ``on_membrane`` where it lands on
+    ``observable.simplex``, and ``u`` the barycentric weights of the landed
+    point, which are the Born probabilities.  ``born`` holds the
+    Hilbert-space oracle Tr(D P_i) and ``oracle_gap`` its measured max gap
+    to ``u``.  ``at_vertex`` is the index of the eigenstate the state sits
+    on (within VERTEX_TOL), else None.  The plan is read-only and shareable
+    across worker threads; the simplex stays with the observable.
     """
 
-    simplex: MeasurementSimplex
     bloch: BlochVector
     on_membrane: BlochVector
     u: np.ndarray
@@ -252,23 +249,20 @@ class MeasurementPlan:
 
 
 def prepare_measurement(
-    state: DensityOperator,
-    observable: Observable,
-    simplex: MeasurementSimplex | None = None,
+    state: DensityOperator, observable: Observable
 ) -> MeasurementPlan:
     """Land the state on the observable's membrane and check the Born rule.
 
-    ``simplex`` reuses the observable's prebuilt simplex.  The weights of
-    the landed point come from the membrane geometry (projection and a
-    linear solve) and are checked once against the Hilbert-space oracle
-    Tr(D P_i); a gap above ORACLE_TOL raises OracleMismatchError, since the
-    two routes agree for every state and a correct simplex.
+    The state lands on ``observable.simplex``.  The weights of the landed
+    point come from the membrane geometry (projection and a linear solve)
+    and are checked once against the Hilbert-space oracle Tr(D P_i); a gap
+    above ORACLE_TOL raises OracleMismatchError, since the two routes agree
+    for every state and a correct simplex.
     """
     n = state.dimension
     if observable.dimension != n:
         raise DimensionError("state and observable dimensions differ")
-    if simplex is None:
-        simplex = build_measurement_simplex(observable)
+    simplex = observable.simplex
     r = density_to_bloch(state)
     on_membrane = project_onto_membrane(r, simplex)
     u = barycentric_coordinates(on_membrane, simplex)
@@ -280,7 +274,7 @@ def prepare_measurement(
         )
     vertex_dist = np.linalg.norm(simplex.vertices - r.coordinates, axis=1)
     at_vertex = int(np.argmin(vertex_dist)) if vertex_dist.min() <= VERTEX_TOL else None
-    return MeasurementPlan(simplex, r, on_membrane, u, born, at_vertex, gap)
+    return MeasurementPlan(r, on_membrane, u, born, at_vertex, gap)
 
 
 def luders_posterior(
@@ -303,7 +297,6 @@ def run_measurement(
     observable: Observable,
     model: MembraneModel,
     rng: np.random.Generator,
-    simplex: MeasurementSimplex | None = None,
 ) -> tuple[float, CollapseTrace, DensityOperator]:
     """Execute one full membrane measurement.
 
@@ -313,8 +306,8 @@ def run_measurement(
     the process a measurement of the first kind.
     """
     n = state.dimension
-    plan = prepare_measurement(state, observable, simplex)
-    simplex, r = plan.simplex, plan.bloch
+    plan = prepare_measurement(state, observable)
+    simplex, r = observable.simplex, plan.bloch
     if plan.at_vertex is not None:
         elementary, weights = plan.at_vertex, None
     else:
@@ -331,7 +324,7 @@ def run_measurement(
         elementary = int(outcomes[0])
     break_w = np.eye(n)[elementary] if weights is None else weights[0]
 
-    block = observable.block_of(elementary)
+    block = observable.degeneracy_partition[observable.block_index[elementary]]
     intermediate = project_onto_face(plan.on_membrane, simplex, block)
     posterior = luders_posterior(state, observable, block)
     final = density_to_bloch(posterior)
@@ -387,11 +380,6 @@ def die_observable() -> Observable:
     return canonical_observable(6, tuple(float(k) for k in range(1, 7)))
 
 
-@lru_cache(maxsize=1)
-def _die_simplex() -> MeasurementSimplex:
-    return build_measurement_simplex(die_observable())
-
-
 def die_state(face: int | None) -> DensityOperator:
     """Off-table (None) maps to the ball center; on-table(k) to vertex k."""
     if face is None:
@@ -411,10 +399,6 @@ def die_measure(
     1/6; an on-table die shows its face again with certainty.
     """
     label, trace, _ = run_measurement(
-        die_state(face),
-        die_observable(),
-        MembraneModel.solipsistic(),
-        rng,
-        simplex=_die_simplex(),
+        die_state(face), die_observable(), MembraneModel.solipsistic(), rng
     )
     return int(label), trace

@@ -16,6 +16,7 @@ anchors except vertex i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,13 +45,18 @@ class Observable:
 
     Equal labels induce the degeneracy partition; each block of
     ``degeneracy_partition`` holds the (0-based) indices sharing one label,
-    ordered by first appearance.
+    ordered by first appearance.  ``block_index`` maps each index to the
+    position of its block (int64) and ``block_labels`` holds each block's
+    label.  ``simplex`` is the observable's measurement simplex, the one
+    membrane every measurement of it shares; it is built on first use.
     """
 
     dimension: int
     eigenstates: tuple[PureState, ...]
     eigenvalue_labels: tuple[float, ...]
     degeneracy_partition: tuple[tuple[int, ...], ...] = field(init=False)
+    block_index: np.ndarray = field(init=False, compare=False)
+    block_labels: tuple[float, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         n = self.dimension
@@ -78,11 +84,18 @@ class Observable:
             else:
                 seen[lab] = len(blocks)
                 blocks.append([i])
+        index = np.array([seen[lab] for lab in labels], dtype=np.int64)
         object.__setattr__(self, "eigenstates", states)
         object.__setattr__(self, "eigenvalue_labels", labels)
         object.__setattr__(
             self, "degeneracy_partition", tuple(tuple(b) for b in blocks)
         )
+        object.__setattr__(self, "block_index", _frozen(index))
+        object.__setattr__(self, "block_labels", tuple(seen))
+
+    @cached_property
+    def simplex(self) -> MeasurementSimplex:
+        return build_measurement_simplex(self)
 
     def projector(self, indices) -> np.ndarray:
         """Sum of |n_i><n_i| over the given eigenstate indices."""
@@ -91,12 +104,6 @@ class Observable:
             a = self.eigenstates[i].amplitudes
             p += np.outer(a, a.conj())
         return p
-
-    def block_of(self, index: int) -> tuple[int, ...]:
-        for block in self.degeneracy_partition:
-            if index in block:
-                return block
-        raise IndexError(index)
 
 
 def canonical_observable(dimension: int, labels=None) -> Observable:
@@ -135,6 +142,7 @@ class MeasurementSimplex:
     An orthonormal frame of the affine hull is computed once (Gram-Schmidt
     over the edge vectors n_i - n_1 in index order) and cached; after
     construction the object is read-only and shareable across workers.
+    An observable builds its own once, as ``Observable.simplex``.
     """
 
     dimension: int

@@ -16,6 +16,7 @@ and a Pearson chi-square test.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
@@ -158,7 +159,8 @@ def sample_elementary_outcomes(
     """Outcome indices of ``trials`` independent membrane measurements.
 
     ``job`` namespaces the random streams so distinct experiment parts sharing
-    one master seed stay independent.  ``workers`` only affects wall time.
+    one master seed stay independent.  ``workers`` only affects wall time; no
+    more threads run than chunks or CPUs, and a single one needs no pool.
     ``plan`` is a prepared measurement of (state, observable) to reuse;
     without one the sampler prepares its own.
     """
@@ -175,6 +177,7 @@ def sample_elementary_outcomes(
         count = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
         return draw_breaks(model, plan.u, count, source.chunk_stream(job, c))[0]
 
+    workers = min(workers, len(chunk_ids), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_chunk, chunk_ids))
@@ -276,14 +279,8 @@ class ConvergenceReport:
 
 def _block_structure(observable: Observable, born: np.ndarray):
     """Block labels, the elementary-to-block index map and Born block weights."""
-    blocks = observable.degeneracy_partition
-    labels = tuple(observable.eigenvalue_labels[b[0]] for b in blocks)
-    elem_to_block = np.empty(observable.dimension, dtype=np.int64)
-    for bi, block in enumerate(blocks):
-        for i in block:
-            elem_to_block[i] = bi
-    oracle_blocks = np.array([born[list(b)].sum() for b in blocks])
-    return labels, elem_to_block, oracle_blocks
+    oracle_blocks = np.array([born[list(b)].sum() for b in observable.degeneracy_partition])
+    return observable.block_labels, observable.block_index, oracle_blocks
 
 
 def _block_counts(outcomes: np.ndarray, elem_to_block: np.ndarray, n_blocks: int):

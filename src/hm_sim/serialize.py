@@ -158,12 +158,20 @@ def validate_config_payload(payload: dict) -> None:
 def load_config_file(path: str) -> dict:
     """Parse and schema-validate a JSON config, with line/field diagnostics."""
 
-    def reject_non_finite(name: str):
-        raise ConfigError(f"config {path} holds {name}; numbers must be finite")
+    def reject_non_finite(text: str):
+        raise ValueError(f"{text} is not a finite number")
+
+    def finite_float(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):  # a literal beyond the float range: 1e400
+            reject_non_finite(text)
+        return value
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle, parse_constant=reject_non_finite)
+            payload = json.load(
+                handle, parse_float=finite_float, parse_constant=reject_non_finite
+            )
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
@@ -171,6 +179,9 @@ def load_config_file(path: str) -> dict:
             f"config {path} is not valid JSON: line {err.lineno} "
             f"column {err.colno}: {err.msg}"
         ) from err
+    except ValueError as err:
+        # A non-finite number, an over-long integer or bytes that are not UTF-8.
+        raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     validate_config_payload(payload)

@@ -139,17 +139,12 @@ def test_criterion_4_first_kind_repeatability():
         total = repeated = 0
         for n, labels, pairs in cases:
             observable = canonical_observable(n, labels)
-            simplex = build_measurement_simplex(observable)
             model = MembraneModel.uniform()
             for t in range(pairs):
                 state = random_density(rng_states, n)
                 stream = source.trial_stream(total)
-                _, first, posterior = run_measurement(
-                    state, observable, model, stream, simplex
-                )
-                _, second, _ = run_measurement(
-                    posterior, observable, model, stream, simplex
-                )
+                _, first, posterior = run_measurement(state, observable, model, stream)
+                _, second, _ = run_measurement(posterior, observable, model, stream)
                 total += 1
                 repeated += second.outcome_block == first.outcome_block
         assert total == 10000
@@ -165,7 +160,6 @@ def test_criterion_5_luders_conformance():
         source = RandomSource(SEED)
         for n, labels in cases:
             observable = canonical_observable(n, labels)
-            simplex = build_measurement_simplex(observable)
             psi = random_pure_state(source, 17 * n, n)
             state = pure_to_density(psi)
 
@@ -175,7 +169,7 @@ def test_criterion_5_luders_conformance():
             for t in range(300):
                 _, trace, posterior = run_measurement(
                     state, observable, MembraneModel.uniform(),
-                    source.trial_stream(t), simplex,
+                    source.trial_stream(t),
                 )
                 block = trace.outcome_block
                 seen.add(block)

@@ -327,6 +327,10 @@ def _ua_config(**overrides):
 
 MIXED = {"kind": "preset", "name": "maximally_mixed"}
 
+# Number literals that json.dumps cannot write, keyed by the string that
+# stands for them in a config.
+LITERALS = {"FLOAT_BEYOND_RANGE": "1e400", "INT_OF_5000_DIGITS": "9" * 5000}
+
 
 @pytest.mark.parametrize(
     "config, out",
@@ -340,19 +344,34 @@ MIXED = {"kind": "preset", "name": "maximally_mixed"}
         (_ua_config(tolerance_sigmas=math.inf), None),
         (_measure_config(dimension=161, state=MIXED), None),
         (_ua_config(dimension=161, state=MIXED), None),
+        (_measure_config(state={"kind": "pure", "re": ["FLOAT_BEYOND_RANGE", 1.0]}), None),
+        (_ua_config(tolerance_sigmas="FLOAT_BEYOND_RANGE"), None),
+        (_measure_config(seed="INT_OF_5000_DIGITS"), None),
     ],
     ids=["pure-without-re", "basis-without-index", "basis-index-out-of-range",
          "cellular-without-weights", "out-into-missing-dir", "nan-amplitude",
          "infinite-tolerance", "measure-dimension-above-max",
-         "universal-average-dimension-above-max"],
+         "universal-average-dimension-above-max", "amplitude-beyond-float-range",
+         "tolerance-beyond-float-range", "seed-beyond-int-digit-limit"],
 )
 def test_schema_valid_bad_inputs_exit_2_without_traceback(tmp_path, capsys, config, out):
+    text = json.dumps(config)
+    for name, literal in LITERALS.items():
+        text = text.replace(f'"{name}"', literal)
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(text)
     argv = [config["experiment"], "--config", str(cfg)]
     if out is not None:
         argv += ["--out", str(tmp_path / out)]
     code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_config_that_is_not_utf8_exits_2_without_traceback(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"experiment": "measure\xff"}')
+    code, _, err = run_cli(capsys, "measure", "--config", str(cfg))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
 

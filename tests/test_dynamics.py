@@ -1,12 +1,14 @@
 """Membrane sampling, the collapse engine, spin machine and die."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import random_density, random_pure
 
+import hm_sim.geometry
 from hm_sim.bloch import (
     BlochVector,
     DensityOperator,
@@ -217,7 +219,6 @@ def test_luders_identity_degenerate():
 
 def test_degenerate_block_probability_matches_born_sum():
     obs = canonical_observable(3, (7.0, 7.0, 9.0))
-    s = build_measurement_simplex(obs)
     rng_states = np.random.default_rng(61)
     d = pure_to_density(random_pure(rng_states, 3))
     p = born_probabilities(d, obs)
@@ -226,7 +227,7 @@ def test_degenerate_block_probability_matches_born_sum():
     hits = 0
     for t in range(trials):
         label, trace, _ = run_measurement(
-            d, obs, MembraneModel.uniform(), RandomSource(13).trial_stream(t), s
+            d, obs, MembraneModel.uniform(), RandomSource(13).trial_stream(t)
         )
         hits += trace.outcome_block == (0, 1)
     freq = hits / trials
@@ -245,16 +246,14 @@ def test_first_kind_repeatability_exact():
     rng_states = np.random.default_rng(70)
     for n, labels in cases:
         obs = canonical_observable(n, labels)
-        s = build_measurement_simplex(obs)
         for t in range(300):
             d = random_density(rng_states, n) if t % 2 else pure_to_density(
                 random_pure(rng_states, n)
             )
             stream = RandomSource(14).trial_stream(t)
-            _, first, posterior = run_measurement(d, obs, MembraneModel.uniform(), stream, s)
-            _, second, _ = run_measurement(
-                posterior, obs, MembraneModel.uniform(), stream, s
-            )
+            model = MembraneModel.uniform()
+            _, first, posterior = run_measurement(d, obs, model, stream)
+            _, second, _ = run_measurement(posterior, obs, model, stream)
             assert second.outcome_block == first.outcome_block
 
 
@@ -263,16 +262,14 @@ def test_solipsistic_outcomes_uniform_for_any_noneigenstate():
     model = MembraneModel.solipsistic()
     rng_states = np.random.default_rng(80)
     trials = 12000
-    s = build_measurement_simplex(obs)
     for d in (
         DensityOperator.maximally_mixed(6),
         pure_to_density(random_pure(rng_states, 6)),
     ):
         counts = np.zeros(6, int)
         for t in range(trials):
-            label, trace, _ = run_measurement(
-                d, obs, model, RandomSource(15).trial_stream(t), s
-            )
+            stream = RandomSource(15).trial_stream(t)
+            label, trace, _ = run_measurement(d, obs, model, stream)
             counts[trace.outcome_block[0]] += 1
         freq = counts / trials
         band = 4 * math.sqrt((1 / 6) * (5 / 6) / trials)
@@ -291,9 +288,8 @@ def test_full_pipeline_on_random_eigenbasis():
     states = tuple(PureState(n, frame[:, k]) for k in range(n))
     obs = Observable(n, states, (1.0, 1.0, 2.0, 3.0, 3.0))
     d = pure_to_density(random_pure(rng, n))
-    simplex = build_measurement_simplex(obs)
 
-    plan = prepare_measurement(d, obs, simplex)
+    plan = prepare_measurement(d, obs)
     outcomes = sample_elementary_outcomes(
         d, obs, MembraneModel.uniform(), 100000, RandomSource(41), plan=plan
     )
@@ -304,14 +300,14 @@ def test_full_pipeline_on_random_eigenbasis():
 
     for t in range(200):
         _, first, post = run_measurement(
-            d, obs, MembraneModel.uniform(), RandomSource(42).trial_stream(t), simplex
+            d, obs, MembraneModel.uniform(), RandomSource(42).trial_stream(t)
         )
         p = obs.projector(first.outcome_block)
         ref = p @ d.matrix @ p
         ref = ref / np.trace(ref).real
         assert np.max(np.abs(post.matrix - ref)) <= 1e-12
         _, second, _ = run_measurement(
-            post, obs, MembraneModel.uniform(), RandomSource(43).trial_stream(t), simplex
+            post, obs, MembraneModel.uniform(), RandomSource(43).trial_stream(t)
         )
         assert second.outcome_block == first.outcome_block
 
@@ -335,12 +331,42 @@ def test_solipsistic_single_shot_rejects_a_state_with_an_unreachable_block():
             )
 
 
-def test_plan_with_another_observables_simplex_fails_the_oracle():
+def test_plan_with_another_observables_simplex_fails_the_oracle(monkeypatch):
     d = pure_to_density(PureState.basis_state(2, 0))
-    tilted = spin_observable([1.0, 0.0, 1.0])
-    prepare_measurement(d, tilted)
+    prepare_measurement(d, spin_observable([1.0, 0.0, 1.0]))
+    foreign = make_simplex(2)
+    monkeypatch.setattr(
+        hm_sim.geometry, "build_measurement_simplex", lambda observable: foreign
+    )
     with pytest.raises(OracleMismatchError):
-        prepare_measurement(d, tilted, make_simplex(2))
+        prepare_measurement(d, spin_observable([1.0, 0.0, 1.0]))
+
+
+def test_one_observable_builds_its_simplex_once(monkeypatch):
+    from hm_sim.harness import sample_elementary_outcomes
+
+    build = hm_sim.geometry.build_measurement_simplex
+    calls = []
+
+    def counting(observable):
+        calls.append(observable)
+        return build(observable)
+
+    # Wrap the builder under every name an hm_sim module binds it to, so a
+    # call through any of them counts.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hm_sim" and getattr(
+            module, "build_measurement_simplex", None
+        ) is build:
+            monkeypatch.setattr(module, "build_measurement_simplex", counting)
+    obs = canonical_observable(3, (1.0, 1.0, 2.0))
+    d = pure_to_density(PureState.normalized([0.6, 0.48, 0.64]))
+    model = MembraneModel.uniform()
+    prepare_measurement(d, obs)
+    for t in range(3):
+        run_measurement(d, obs, model, RandomSource(9).trial_stream(t))
+    sample_elementary_outcomes(d, obs, model, 100, RandomSource(9))
+    assert len(calls) == 1 and calls[0] is obs
 
 
 def test_born_identity_max_gap_is_the_plans_gap():

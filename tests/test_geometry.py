@@ -45,7 +45,9 @@ def n2_state(theta):
 def test_observable_partition_from_labels():
     obs = canonical_observable(4, (1.0, 2.0, 1.0, 3.0))
     assert obs.degeneracy_partition == ((0, 2), (1,), (3,))
-    assert obs.block_of(2) == (0, 2)
+    assert obs.block_index.dtype == np.int64
+    assert obs.block_index.tolist() == [0, 1, 0, 2]
+    assert obs.block_labels == (1.0, 2.0, 3.0)
 
 
 def test_observable_rejects_nonorthogonal_eigenstates():

@@ -152,6 +152,53 @@ def test_seed_stability_and_worker_invariance():
     np.testing.assert_array_equal(o1, o2)
 
 
+def test_sampler_threads_are_bounded_by_chunks_and_cpus(monkeypatch):
+    import hm_sim.harness
+
+    pools = []
+
+    class SerialPool:
+        """Records its max_workers and runs the chunks in order, on this thread."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(hm_sim.harness, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(hm_sim.harness.os, "cpu_count", lambda: 4)
+    state = pure_to_density(random_pure_state(RandomSource(3), 1, 3))
+    obs = canonical_observable(3)
+    chunk = hm_sim.harness.CHUNK_TRIALS
+
+    def sample(trials, workers):
+        return sample_elementary_outcomes(
+            state, obs, MembraneModel.uniform(), trials, RandomSource(5), workers=workers
+        )
+
+    for trials, workers, threads in (
+        (2 * chunk + 1, 100000, [3]),  # three chunks
+        (5 * chunk, 100000, [4]),      # four CPUs
+        (chunk, 2, []),                # one chunk: no pool
+        (5 * chunk, 1, []),
+    ):
+        pools.clear()
+        outcomes = sample(trials, workers)
+        assert pools == threads
+        np.testing.assert_array_equal(outcomes, sample(trials, 1))
+    monkeypatch.setattr(hm_sim.harness.os, "cpu_count", lambda: None)
+    pools.clear()
+    sample(5 * chunk, 8)
+    assert pools == []
+
+
 def test_chi_square_exact_match_passes_with_zero_statistic():
     res = chi_square_check([250, 250, 500], [0.25, 0.25, 0.5])
     assert res.statistic == 0.0

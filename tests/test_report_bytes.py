@@ -1,0 +1,63 @@
+"""Report-byte guard: SHA-256 digests of five small in-process CLI reports.
+
+The CLI promises identical report bytes for a fixed seed and config.  These
+digests pin that promise at test speed for one run of each command; the
+full byte contract is the benchmark's ``bench/golden.json``.  A change that
+moves report bytes on purpose re-records these digests together with
+``golden.json`` and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from hm_sim.cli import main
+
+MEASURE = {
+    "schema_version": "1",
+    "experiment": "measure",
+    "dimension": 3,
+    "state": {"kind": "pure", "re": [0.6, 0.48, 0.64]},
+    "observable": {"kind": "canonical", "labels": [1, 1, 2]},
+    "membrane": {"kind": "uniform"},
+}
+
+UNIVERSAL_AVERAGE = {
+    "schema_version": "1",
+    "experiment": "universal-average",
+    "dimension": 3,
+    "state": {"kind": "pure", "re": [0.6, 0.48, 0.64]},
+    "observable": {"kind": "canonical"},
+    "cells": 50,
+    "membranes": 5,
+    "trials_per_membrane": 100,
+}
+
+CASES = {
+    "measure": (["measure"], MEASURE,
+                "b043d32b420bae2e06ac5195018d82a1abea4f77331a330af2cc17e7fd59e2a0"),
+    "verify-born": (["verify-born", "--dimension", "3", "--states", "3",
+                     "--trials", "2000"], None,
+                    "6da95586ed20eee791c6847c0e4d4bc12e06d38f525350814320d146417ac144"),
+    "die": (["die", "--rolls", "600"], None,
+            "a5a77a15ca6bb9baa681e4f0758876a7926489aa446b8f433c4307008907d07a"),
+    "spin-machine": (["spin-machine", "--angle", "1.0471975512", "--trials", "2000"], None,
+                     "cfec492568c380a4d5c03d70ce864773c3c2649c337d2bfdf1ab9dfa7c34c2af"),
+    "universal-average": (["universal-average"], UNIVERSAL_AVERAGE,
+                          "851449f267b242317fd91253a2b7d9fcb682892f72ccfde65498fd600372c77b"),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_report_bytes_are_pinned(tmp_path, capsys, name):
+    argv, config, digest = CASES[name]
+    argv = [*argv, "--seed", "11"]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
