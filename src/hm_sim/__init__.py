@@ -21,9 +21,6 @@ from .dynamics import (
     MeasurementPlan,
     MembraneModel,
     RandomSource,
-    die_measure,
-    die_observable,
-    die_state,
     luders_posterior,
     prepare_measurement,
     run_measurement,
@@ -92,9 +89,6 @@ __all__ = [
     "canonical_observable",
     "chi_square_check",
     "density_to_bloch",
-    "die_measure",
-    "die_observable",
-    "die_state",
     "is_valid_state",
     "luders_posterior",
     "prepare_measurement",

@@ -1,15 +1,18 @@
 """Command-line front end for the membrane-measurement experiments.
 
 Commands: ``spin-machine``, ``verify-born``, ``die``, ``universal-average``
-and ``measure``.  Each emits a machine-readable report (JSON by default,
-CSV on request) and exits 0 when every check passed, 1 when checks ran and
+and ``measure``.  Every command runs one config document, checked by the
+one config schema: the ``--config`` file, or for the first three the
+inline flags collected into the same document (the two routes exclude
+each other).  Each emits a machine-readable report (JSON by default, CSV
+on request) and exits 0 when every check passed, 1 when checks ran and
 failed, 2 on usage or configuration errors, and 3 when an internal
 invariant fails (``OracleMismatchError`` or ``ImpossibleOutcomeError``: a
 bug, not a bad input), with one ``internal error:`` line on stderr.
 Results depend only on the configuration and the master seed: the default
 seed is the fixed constant 0xB10C (overridable through the HM_SIM_SEED
-environment variable, which --seed in turn beats), never wall-clock time,
-and worker counts change nothing but wall time.
+environment variable, which a config seed and then --seed in turn beat),
+never wall-clock time, and worker counts change nothing but wall time.
 """
 
 from __future__ import annotations
@@ -33,12 +36,14 @@ from .harness import (
     universal_average_experiment,
 )
 from .serialize import (
+    SCHEMA_VERSION,
     csv_from_entries,
     dumps_canonical,
     envelope,
     load_config_file,
     report_entry,
     trace_to_json,
+    validate_config_payload,
     validate_report_payload,
 )
 
@@ -60,36 +65,14 @@ def resolve_seed(cli_seed: int | None, config_seed: int | None = None) -> int:
     return DEFAULT_SEED
 
 
-def _require_exclusive_config(args, inline_names: list[str]) -> dict | None:
-    """Enforce the run rule: a config file XOR inline parameters."""
-    explicit = [n for n in inline_names if getattr(args, n.replace("-", "_")) is not None]
-    if args.config is not None:
-        if explicit:
-            raise ConfigError(
-                "give either --config or inline parameters "
-                f"(--{', --'.join(explicit)}), not both"
-            )
-        payload = load_config_file(args.config)
-        if payload.get("experiment") != args.command:
-            raise ConfigError(
-                f"config is for experiment {payload.get('experiment')!r}, "
-                f"but the {args.command!r} command was invoked"
-            )
-        return payload
-    return None
+def _tolerance(cfg: dict) -> float:
+    """The config's sigma band, 4 unless it sets ``tolerance_sigmas``."""
+    return float(cfg.get("tolerance_sigmas", 4.0))
 
 
-def _spin_machine(args) -> tuple[dict, bool]:
-    cfg = _require_exclusive_config(args, ["angle", "trials"])
-    angle = args.angle if cfg is None else cfg.get("angle")
-    trials = args.trials if cfg is None else cfg.get("trials")
-    if angle is None:
-        raise ConfigError("spin-machine needs --angle (radians in [0, pi])")
-    trials = 100000 if trials is None else int(trials)
-    if not 0.0 <= angle <= math.pi:
-        raise ConfigError(f"angle must lie in [0, pi], got {angle}")
-    seed = resolve_seed(args.seed, None if cfg is None else cfg.get("seed"))
-
+def _spin_machine(cfg: dict, seed: int, workers: int) -> tuple[dict, bool]:
+    angle = cfg["angle"]
+    trials = int(cfg.get("trials", 100000))
     config = ExperimentConfig(
         dimension=2,
         state={"kind": "bloch",
@@ -98,8 +81,9 @@ def _spin_machine(args) -> tuple[dict, bool]:
         membrane={"kind": "uniform"},
         trials=trials,
         master_seed=seed,
+        tolerance_sigmas=_tolerance(cfg),
     )
-    report = simulate_statistics(config, workers=args.workers)
+    report = simulate_statistics(config, workers=workers)
     entry = report_entry("spin-machine", report)
     meta = {
         "angle": angle,
@@ -110,20 +94,10 @@ def _spin_machine(args) -> tuple[dict, bool]:
     return payload, report.passed
 
 
-def _verify_born(args) -> tuple[dict, bool]:
-    cfg = _require_exclusive_config(args, ["dimension", "states", "trials"])
-    dim = args.dimension if cfg is None else cfg.get("dimension")
-    states = args.states if cfg is None else cfg.get("states")
-    trials = args.trials if cfg is None else cfg.get("trials")
-    if dim is None:
-        raise ConfigError("verify-born needs --dimension")
-    if not 2 <= dim <= 8:
-        raise ConfigError(f"dimension must be 2..8, got {dim}")
-    states = 100 if states is None else int(states)
-    trials = 10000 if trials is None else int(trials)
-    if states < 1:
-        raise ConfigError(f"states must be >= 1, got {states}")
-    seed = resolve_seed(args.seed, None if cfg is None else cfg.get("seed"))
+def _verify_born(cfg: dict, seed: int, workers: int) -> tuple[dict, bool]:
+    dim = int(cfg["dimension"])
+    states = int(cfg.get("states", 100))
+    trials = int(cfg.get("trials", 10000))
 
     source = RandomSource(seed)
     observable = resolve_observable_spec({"kind": "canonical"}, dim)
@@ -144,8 +118,9 @@ def _verify_born(args) -> tuple[dict, bool]:
             membrane={"kind": "uniform"},
             trials=trials,
             master_seed=seed,
+            tolerance_sigmas=_tolerance(cfg),
         )
-        report = simulate_statistics(config, job=i, workers=args.workers)
+        report = simulate_statistics(config, job=i, workers=workers)
         all_pass = all_pass and report.passed
         entries.append(report_entry(f"state-{i:03d}", report, analytic_max_gap=gap))
     meta = {"dimension": dim, "states": states, "trials": trials,
@@ -153,29 +128,14 @@ def _verify_born(args) -> tuple[dict, bool]:
     return envelope("verify-born", seed, all_pass, meta, entries), all_pass
 
 
-def _die(args) -> tuple[dict, bool]:
-    cfg = _require_exclusive_config(args, ["rolls", "start"])
-    rolls = args.rolls if cfg is None else cfg.get("rolls")
-    start = args.start if cfg is None else cfg.get("start")
-    rolls = 60000 if rolls is None else int(rolls)
-    start = "off_table" if start is None else str(start)
-    if rolls < 1:
-        raise ConfigError("rolls must be >= 1")
+def _die(cfg: dict, seed: int, workers: int) -> tuple[dict, bool]:
+    rolls = int(cfg.get("rolls", 60000))
+    start = cfg.get("start", "off_table")
     if start == "off_table":
         state_spec = {"kind": "preset", "name": "maximally_mixed"}
-    elif start.startswith("on_table:"):
-        try:
-            face = int(start.split(":", 1)[1])
-        except ValueError as err:
-            raise ConfigError(f"bad die start state {start!r}") from err
-        if not 1 <= face <= 6:
-            raise ConfigError(f"die face must be 1..6, got {face}")
+    else:  # on_table:K, with K in 1..6 by the schema
+        face = int(start.split(":", 1)[1])
         state_spec = {"kind": "preset", "name": "basis", "index": face - 1}
-    else:
-        raise ConfigError(
-            f"start must be 'off_table' or 'on_table:K' (K in 1..6), got {start!r}"
-        )
-    seed = resolve_seed(args.seed, None if cfg is None else cfg.get("seed"))
 
     config = ExperimentConfig(
         dimension=6,
@@ -184,18 +144,15 @@ def _die(args) -> tuple[dict, bool]:
         membrane={"kind": "solipsistic"},
         trials=rolls,
         master_seed=seed,
+        tolerance_sigmas=_tolerance(cfg),
     )
-    report = simulate_statistics(config, workers=args.workers)
+    report = simulate_statistics(config, workers=workers)
     meta = {"rolls": rolls, "start": start}
     entry = report_entry("die", report)
     return envelope("die", seed, report.passed, meta, [entry]), report.passed
 
 
-def _universal_average(args) -> tuple[dict, bool]:
-    if args.config is None:
-        raise ConfigError("universal-average requires --config")
-    cfg = _require_exclusive_config(args, [])
-    seed = resolve_seed(args.seed, cfg.get("seed"))
+def _universal_average(cfg: dict, seed: int, workers: int) -> tuple[dict, bool]:
     report = universal_average_experiment(
         dimension=int(cfg["dimension"]),
         state=cfg["state"],
@@ -204,9 +161,9 @@ def _universal_average(args) -> tuple[dict, bool]:
         membrane_samples=int(cfg["membranes"]),
         trials_per_membrane=int(cfg["trials_per_membrane"]),
         master_seed=seed,
-        tolerance_sigmas=float(cfg.get("tolerance_sigmas", 4.0)),
+        tolerance_sigmas=_tolerance(cfg),
         fixed_cell_weights=cfg.get("fixed_cell_weights"),
-        workers=args.workers,
+        workers=workers,
     )
     meta = {
         "dimension": int(cfg["dimension"]),
@@ -219,13 +176,7 @@ def _universal_average(args) -> tuple[dict, bool]:
     return payload, report.passed
 
 
-def _measure(args) -> tuple[dict, bool]:
-    if args.config is None:
-        raise ConfigError("measure requires --config")
-    cfg = _require_exclusive_config(args, [])
-    if args.format == "csv":
-        raise ConfigError("measure emits a collapse trace; only json is supported")
-    seed = resolve_seed(args.seed, cfg.get("seed"))
+def _measure(cfg: dict, seed: int, workers: int) -> tuple[dict, bool]:
     dim = int(cfg["dimension"])
     state = resolve_state_spec(cfg["state"], dim)
     observable = resolve_observable_spec(cfg["observable"], dim)
@@ -238,13 +189,59 @@ def _measure(args) -> tuple[dict, bool]:
     return payload, True
 
 
-_HANDLERS = {
-    "spin-machine": _spin_machine,
-    "verify-born": _verify_born,
-    "die": _die,
-    "universal-average": _universal_average,
-    "measure": _measure,
+# Each command: its handler, its help line and its inline flags as
+# (config field, type, help).  The config schema checks every flag's value.
+_COMMANDS = {
+    "spin-machine": (_spin_machine, "two-outcome elastic band at a given polar angle", (
+        ("angle", float, "polar angle between state and axis, in radians"),
+        ("trials", int, None),
+    )),
+    "verify-born": (_verify_born, "analytic + Monte Carlo Born checks on random states", (
+        ("dimension", int, None),
+        ("states", int, None),
+        ("trials", int, None),
+    )),
+    "die": (_die, "solipsistic six-outcome measurement (a die roll)", (
+        ("rolls", int, None),
+        ("start", str, "'off_table' or 'on_table:K'"),
+    )),
+    "universal-average": (_universal_average,
+                          "Born rule as an average over random cellular membranes", ()),
+    "measure": (_measure, "one measurement run, dumping the full collapse trace", ()),
 }
+
+
+def _read_config(args) -> dict:
+    """The run's one config document: the --config file or the inline flags.
+
+    Inline flags become the config fields of their names, so both routes
+    meet the same schema check and accept the same values.
+    """
+    flags = _COMMANDS[args.command][2]
+    inline = {name: getattr(args, name) for name, _, _ in flags
+              if getattr(args, name) is not None}
+    if args.config is not None:
+        if inline:
+            raise ConfigError(
+                "give either --config or inline parameters "
+                f"(--{', --'.join(inline)}), not both"
+            )
+        cfg = load_config_file(args.config)
+        if cfg.get("experiment") != args.command:
+            raise ConfigError(
+                f"config is for experiment {cfg.get('experiment')!r}, "
+                f"but the {args.command!r} command was invoked"
+            )
+        return cfg
+    if not flags:
+        raise ConfigError(f"{args.command} requires --config")
+    for name, value in inline.items():
+        # A config file cannot hold NaN or infinity, and NaN passes every bound.
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name} must be a finite number, got {value}")
+    cfg = {"schema_version": SCHEMA_VERSION, "experiment": args.command, **inline}
+    validate_config_payload(cfg)
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,30 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker hint; results never depend on it")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spin-machine", parents=[common],
-                       help="two-outcome elastic band at a given polar angle")
-    p.add_argument("--angle", type=float, default=None,
-                   help="polar angle between state and axis, radians in [0, pi]")
-    p.add_argument("--trials", type=int, default=None)
-
-    p = sub.add_parser("verify-born", parents=[common],
-                       help="analytic + Monte Carlo Born checks on random states")
-    p.add_argument("--dimension", type=int, default=None, help="2..8")
-    p.add_argument("--states", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-
-    p = sub.add_parser("die", parents=[common],
-                       help="solipsistic six-outcome measurement (a die roll)")
-    p.add_argument("--rolls", type=int, default=None)
-    p.add_argument("--start", type=str, default=None,
-                   help="'off_table' or 'on_table:K'")
-
-    sub.add_parser("universal-average", parents=[common],
-                   help="Born rule as an average over random cellular membranes")
-
-    sub.add_parser("measure", parents=[common],
-                   help="one measurement run, dumping the full collapse trace")
+    for command, (_, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=text)
+        for name, kind, flag_help in flags:
+            p.add_argument(f"--{name}", type=kind, default=None, help=flag_help)
     return parser
 
 
@@ -311,7 +288,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, passed = _HANDLERS[args.command](args)
+        cfg = _read_config(args)
+        if args.command == "measure" and args.format == "csv":
+            raise ConfigError("measure emits a collapse trace; only json is supported")
+        seed = resolve_seed(args.seed, cfg.get("seed"))
+        payload, passed = _COMMANDS[args.command][0](cfg, seed, args.workers)
         _emit(payload, args)
     except (OracleMismatchError, ImpossibleOutcomeError) as err:
         print(f"internal error: {err}", file=sys.stderr)

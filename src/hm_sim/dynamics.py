@@ -21,17 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bloch import (
     BlochVector,
     DensityOperator,
-    PureState,
     bloch_to_density,
     density_to_bloch,
-    pure_to_density,
     _frozen,
 )
 from .errors import (
@@ -44,7 +41,6 @@ from .geometry import (
     Observable,
     barycentric_coordinates,
     born_probabilities,
-    canonical_observable,
     classify_weights,
     project_onto_face,
     project_onto_membrane,
@@ -373,32 +369,3 @@ def spin_machine_measure(
     unit = unit / np.linalg.norm(unit)
     return (unit if label > 0 else -unit), trace
 
-
-@lru_cache(maxsize=1)
-def die_observable() -> Observable:
-    """The upper-face observable of a six-faced die, labels 1..6."""
-    return canonical_observable(6, tuple(float(k) for k in range(1, 7)))
-
-
-def die_state(face: int | None) -> DensityOperator:
-    """Off-table (None) maps to the ball center; on-table(k) to vertex k."""
-    if face is None:
-        return DensityOperator.maximally_mixed(6)
-    if not 1 <= int(face) <= 6:
-        raise ConfigError(f"die face must be 1..6, got {face}")
-    return pure_to_density(PureState.basis_state(6, int(face) - 1))
-
-
-def die_measure(
-    face: int | None, rng: np.random.Generator
-) -> tuple[int, CollapseTrace]:
-    """Roll the die: a solipsistic six-outcome membrane measurement.
-
-    ``face`` is the current upper face for an on-table die, or None when the
-    die is off the table.  Off-table rolls land on each face with probability
-    1/6; an on-table die shows its face again with certainty.
-    """
-    label, trace, _ = run_measurement(
-        die_state(face), die_observable(), MembraneModel.solipsistic(), rng
-    )
-    return int(label), trace

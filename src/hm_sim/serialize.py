@@ -12,8 +12,9 @@ import json
 import math
 from importlib import resources
 
-import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from .dynamics import CollapseTrace
 from .errors import ConfigError
@@ -142,17 +143,27 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+def schema_error(payload, name: str):
+    """The error ``jsonschema.validate`` would raise for ``payload``, or None.
+
+    It does not re-check the shipped schema against the metaschema on every
+    run, as ``jsonschema.validate`` does; the test suite checks it once.
+    """
+    return best_match(Draft202012Validator(load_schema(name)).iter_errors(payload))
+
+
 def validate_report_payload(payload: dict) -> None:
-    jsonschema.validate(payload, load_schema("report.schema.json"))
+    error = schema_error(payload, "report.schema.json")
+    if error is not None:
+        raise error
 
 
 def validate_config_payload(payload: dict) -> None:
     """Schema-check a config document; raises ConfigError naming the field."""
-    try:
-        jsonschema.validate(payload, load_schema("config.schema.json"))
-    except jsonschema.ValidationError as err:
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {err.message}") from err
+    error = schema_error(payload, "config.schema.json")
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config field {path}: {error.message}") from error
 
 
 def load_config_file(path: str) -> dict:

@@ -152,6 +152,9 @@ def test_die_on_table_certain(capsys):
 
 
 def test_die_bad_face(capsys):
+    code, _, err = run_cli(capsys, "die", "--start", "on_table:7")
+    assert code == 2
+    assert "start" in err
     code, _, err = run_cli(capsys, "die", "--start", "on_table:9")
     assert code == 2
     code, _, err = run_cli(capsys, "die", "--start", "levitating")
@@ -161,7 +164,90 @@ def test_die_bad_face(capsys):
 def test_verify_born_dimension_cap(capsys):
     code, _, err = run_cli(capsys, "verify-born", "--dimension", "9")
     assert code == 2
-    assert "2..8" in err
+    assert "dimension" in err and "8" in err
+
+
+# Each case: a command and config fields holding one bad value.
+BAD_VALUES = {
+    "angle-nan": ("spin-machine", {"angle": math.nan}),
+    "angle-inf": ("spin-machine", {"angle": math.inf}),
+    "angle-negative": ("spin-machine", {"angle": -0.1}),
+    "trials-0": ("spin-machine", {"angle": 1.0, "trials": 0}),
+    "dimension-1": ("verify-born", {"dimension": 1}),
+    "dimension-9": ("verify-born", {"dimension": 9}),
+    "states-0": ("verify-born", {"dimension": 3, "states": 0}),
+    "rolls-0": ("die", {"rolls": 0}),
+    "face-7": ("die", {"start": "on_table:7"}),
+    "face-with-leading-zero": ("die", {"start": "on_table:04"}),
+    "face-after-a-space": ("die", {"start": "on_table: 4"}),
+    "face-before-a-newline": ("die", {"start": "on_table:4\n"}),
+}
+
+
+def _inline_argv(command, fields):
+    return [command] + [arg for name, value in fields.items()
+                        for arg in (f"--{name}", str(value))]
+
+
+def _config_argv(tmp_path, command, fields):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"schema_version": "1", "experiment": command, **fields}))
+    return [command, "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_bad_values_exit_2_inline_and_in_a_config_file(tmp_path, capsys, case):
+    command, fields = BAD_VALUES[case]
+    for argv in (_inline_argv(command, fields), _config_argv(tmp_path, command, fields)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("spin-machine", {"angle": 1.0471975512, "trials": 2000}),
+        ("verify-born", {"dimension": 3, "states": 2, "trials": 500}),
+        ("die", {"rolls": 600, "start": "on_table:4"}),
+        ("die", {"rolls": 600}),
+    ],
+    ids=["spin-machine", "verify-born", "die-on-table", "die-off-table"],
+)
+def test_inline_flags_and_config_file_give_identical_bytes(tmp_path, capsys, command, fields):
+    code, inline, _ = run_cli(capsys, *_inline_argv(command, fields), "--seed", "5")
+    assert code == 0
+    code, from_file, _ = run_cli(
+        capsys, *_config_argv(tmp_path, command, fields), "--seed", "5")
+    assert code == 0
+    assert inline == from_file
+
+
+def test_integral_floats_in_a_config_run_as_integers(tmp_path, capsys):
+    # The schema's "integer" admits 3.0; it runs as the inline 3 does.
+    fields = {"dimension": 3.0, "states": 1.0, "trials": 100.0}
+    code, from_file, err = run_cli(
+        capsys, *_config_argv(tmp_path, "verify-born", fields), "--seed", "5")
+    assert code == 0, err
+    code, inline, _ = run_cli(capsys, "verify-born", "--dimension", "3", "--states", "1",
+                              "--trials", "100", "--seed", "5")
+    assert from_file == inline
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("spin-machine", {"angle": 1.0, "trials": 1000}),
+        ("verify-born", {"dimension": 2, "states": 1, "trials": 1000}),
+        ("die", {"rolls": 600}),
+    ],
+)
+def test_config_tolerance_sigmas_reaches_the_verdict(tmp_path, capsys, command, fields):
+    # A band of 1e-9 sigma fails every run whose frequencies are not exact.
+    argv = _config_argv(tmp_path, command, dict(fields, tolerance_sigmas=1e-9))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert all(r["tolerance_sigmas"] == 1e-9 for r in json.loads(out)["reports"])
 
 
 def test_verify_born_reports_analytic_gap(capsys):

@@ -20,9 +20,6 @@ from hm_sim.dynamics import (
     MembraneModel,
     RandomSource,
     cell_index_of_weights,
-    die_measure,
-    die_observable,
-    die_state,
     draw_breaks,
     luders_posterior,
     prepare_measurement,
@@ -412,9 +409,26 @@ def test_spin_machine_certain_at_poles():
         spin_machine_measure(up, [0.0, 0.0, 0.0], model, RandomSource(19).trial_stream(0))
 
 
+# The die: the upper-face observable of six faces, measured by a solipsistic
+# membrane.  Off the table (None) the state is the ball centre; on the table
+# showing face k it is vertex k.
+DIE = canonical_observable(6, tuple(float(k) for k in range(1, 7)))
+
+
+def _die_state(face):
+    if face is None:
+        return DensityOperator.maximally_mixed(6)
+    return pure_to_density(PureState.basis_state(6, face - 1))
+
+
+def _roll(face, rng):
+    label, trace, _ = run_measurement(_die_state(face), DIE, MembraneModel.solipsistic(), rng)
+    return int(label), trace
+
+
 def test_die_on_table_is_certain():
     for t in range(25):
-        face, trace = die_measure(4, RandomSource(20).trial_stream(t))
+        face, trace = _roll(4, RandomSource(20).trial_stream(t))
         assert face == 4
         assert trace.outcome_block == (3,)
 
@@ -423,23 +437,21 @@ def test_die_off_table_uniform_and_first_kind():
     trials = 20000
     counts = np.zeros(6, int)
     for t in range(trials):
-        face, _ = die_measure(None, RandomSource(21).trial_stream(t))
+        face, _ = _roll(None, RandomSource(21).trial_stream(t))
         counts[face - 1] += 1
     freq = counts / trials
     band = 3 * math.sqrt((1 / 6) * (5 / 6) / trials)
     assert np.all(np.abs(freq - 1 / 6) <= band)
     # roll once, then re-measure the produced on-table state: same face
     for t in range(50):
-        face, _ = die_measure(None, RandomSource(22).trial_stream(t))
-        again, _ = die_measure(face, RandomSource(23).trial_stream(t))
+        face, _ = _roll(None, RandomSource(22).trial_stream(t))
+        again, _ = _roll(face, RandomSource(23).trial_stream(t))
         assert again == face
-    with pytest.raises(ConfigError):
-        die_state(7)
 
 
 def test_die_state_geometry():
-    s = build_measurement_simplex(die_observable())
-    r = density_to_bloch(die_state(None))
+    s = build_measurement_simplex(DIE)
+    r = density_to_bloch(_die_state(None))
     np.testing.assert_allclose(r.coordinates, np.zeros(35), atol=1e-15)
-    r4 = density_to_bloch(die_state(4))
+    r4 = density_to_bloch(_die_state(4))
     np.testing.assert_allclose(r4.coordinates, s.vertices[3], atol=1e-14)

@@ -3,8 +3,10 @@
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
 from helpers import random_pure
 
@@ -18,7 +20,9 @@ from hm_sim.serialize import (
     dumps_canonical,
     envelope,
     load_config_file,
+    load_schema,
     report_entry,
+    schema_error,
     sig12,
     trace_to_json,
     validate_config_payload,
@@ -110,3 +114,86 @@ def test_config_schema_diagnostics(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(ConfigError):
         load_config_file(str(missing))
+
+
+@pytest.mark.parametrize("name", ["config.schema.json", "report.schema.json"])
+def test_shipped_schemas_are_valid_draft_2020_12(name):
+    # Runs validate against the schemas without this metaschema check.
+    Draft202012Validator.check_schema(load_schema(name))
+
+
+SPIN = {"schema_version": "1", "experiment": "spin-machine", "angle": 0.5}
+MEASURE = {
+    "schema_version": "1", "experiment": "measure", "dimension": 2,
+    "state": {"kind": "bloch", "coordinates": [0.0, 0.0, 1.0]},
+    "observable": {"kind": "canonical"}, "membrane": {"kind": "uniform"},
+}
+REJECTED_CONFIGS = [
+    [],
+    {},
+    {"schema_version": "2", "experiment": "die"},
+    {"schema_version": "1", "experiment": "toss"},
+    {"schema_version": "1", "experiment": "spin-machine"},
+    dict(SPIN, angle="wide"),
+    dict(SPIN, angle=3.2),
+    dict(SPIN, trials=0),
+    dict(SPIN, seed=-1),
+    dict(SPIN, tolerance_sigmas=0),
+    {"schema_version": "1", "experiment": "verify-born", "dimension": 9},
+    {"schema_version": "1", "experiment": "verify-born", "dimension": 2.5},
+    {"schema_version": "1", "experiment": "die", "start": "on_table:04"},
+    {"schema_version": "1", "experiment": "die", "rolls": 0, "start": "up"},
+    dict(MEASURE, dimension=161),
+    dict(MEASURE, state={"kind": "pure"}),
+    dict(MEASURE, state={"kind": "preset", "name": "basis"}),
+    dict(MEASURE, observable={"kind": "spin_axis", "axis": [0, 1]}),
+    dict(MEASURE, membrane={"kind": "cellular"}),
+    dict(MEASURE, membrane={"kind": "cellular", "weights": [0.5, -0.5]}),
+    {"schema_version": "1", "experiment": "universal-average", "dimension": 2},
+]
+
+
+def _report():
+    entry = report_entry("r0", simulate_statistics(ExperimentConfig(
+        2, {"kind": "preset", "name": "maximally_mixed"}, {"kind": "canonical"},
+        {"kind": "uniform"}, 100, 7)))
+    return json.loads(dumps_canonical(envelope("die", 7, True, {}, [entry])))
+
+
+def _broken_reports():
+    for key, value in [("seed", -1), ("pass", "yes"), ("command", "toss"),
+                       ("schema_version", 1), ("extra", 0), ("reports", {})]:
+        yield dict(_report(), **{key: value})
+    for key, value in [("observed", ["x", 0.5]), ("trials", 0),
+                       ("sigma_model", "poisson"), ("chi_square", "inf")]:
+        report = _report()
+        report["reports"][0][key] = value
+        yield report
+    report = _report()
+    del report["reports"][0]["pass"]
+    yield report
+    yield dict(_report(), trace={"dimension": 1})
+
+
+@pytest.mark.parametrize(
+    "name, payload",
+    [("config.schema.json", c) for c in REJECTED_CONFIGS]
+    + [("report.schema.json", r) for r in _broken_reports()],
+)
+def test_schema_error_matches_jsonschema_validate(name, payload):
+    with pytest.raises(jsonschema.ValidationError) as reference:
+        jsonschema.validate(payload, load_schema(name))
+    error = schema_error(payload, name)
+    assert error is not None
+    assert error.message == reference.value.message
+    assert error.absolute_path == reference.value.absolute_path
+
+
+@pytest.mark.parametrize(
+    "name, payload",
+    [("config.schema.json", SPIN), ("config.schema.json", MEASURE),
+     ("report.schema.json", _report())],
+)
+def test_schema_error_accepts_what_jsonschema_validate_accepts(name, payload):
+    jsonschema.validate(payload, load_schema(name))
+    assert schema_error(payload, name) is None
