@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,9 +40,9 @@ from .errors import (
 )
 from .geometry import (
     Observable,
+    _classify,
     barycentric_coordinates,
     born_probabilities,
-    classify_weights,
     project_onto_face,
     project_onto_membrane,
     spin_observable,
@@ -121,6 +122,16 @@ class MembraneModel:
         elif self.cell_weights is not None:
             raise ConfigError(f"{self.kind} membrane takes no cell weights")
 
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        """Running sums of the cell weights, the keys a cellular draw searches."""
+        return np.cumsum(self.cell_weights)
+
+    @cached_property
+    def _buckets(self) -> np.ndarray:
+        """Cell per bucket of [0, 1), built on the first draw long enough to use it."""
+        return _bucket_table(self._cumulative)
+
     @classmethod
     def uniform(cls) -> "MembraneModel":
         return cls("uniform")
@@ -143,61 +154,95 @@ class MembraneModel:
 # preimages of [i/m, (i+1)/m) are equal-probability slabs.  Sampling inside
 # cell i draws the slab coordinate uniformly, inverts F, and fills the
 # remaining coordinates with a uniform point of the opposite face.
+#
+# A draw picks its cell as np.searchsorted(cs, r) over the cumulative cell
+# weights cs.  A draw of at least _BUCKETS keys looks most of them up in a
+# table of _BUCKETS equal buckets of [0, 1) instead, built once per membrane:
+# key r lies in bucket int(r * _BUCKETS), exactly, since _BUCKETS is a power
+# of two, and a bucket that holds no value of cs maps every key in it to the
+# same cell.  Building the table is one search of _BUCKETS + 1 keys, so a
+# shorter draw would not repay it.
+
+_BUCKETS = 4096
 
 
-def cell_index_of_weights(weights: np.ndarray, cell_count: int, dimension: int):
-    """Cell index of simplex points given as barycentric weights (vectorized)."""
-    w0 = np.asarray(weights, dtype=float)[..., 0]
-    f = 1.0 - (1.0 - w0) ** (dimension - 1)
-    return np.minimum((f * cell_count).astype(int), cell_count - 1)
+def _bucket_table(cs: np.ndarray) -> np.ndarray:
+    """The cell of every key in each bucket that holds no value of ``cs``, else -1."""
+    lo = np.searchsorted(cs, np.arange(_BUCKETS + 1) / _BUCKETS)
+    return np.where(lo[:-1] == lo[1:], lo[:-1], -1)
 
 
-def _uniform_weights(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """Exactly uniform barycentric weights: normalized unit-rate exponentials."""
-    e = rng.standard_exponential((count, n))
-    return e / e.sum(axis=1, keepdims=True)
+def _find_cells(cs: np.ndarray, table: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cs, r) for keys in [0, 1), through ``_bucket_table(cs)``."""
+    cells = table[(r * _BUCKETS).astype(np.intp)]
+    ambiguous = np.flatnonzero(cells < 0)
+    cells[ambiguous] = np.searchsorted(cs, r[ambiguous])
+    return cells
 
 
 def _cellular_weights(
     rng: np.random.Generator, count: int, n: int, model: MembraneModel
 ) -> np.ndarray:
+    """Barycentric weights of ``count`` breaks of a membrane of m > 1 cells."""
     m = model.cell_count
-    if m == 1:
-        # Single cell spanning the whole simplex: defer to the uniform law so
-        # the two models are draw-for-draw identical, not just in law.
-        return _uniform_weights(rng, count, n)
-    cells = np.searchsorted(np.cumsum(model.cell_weights), rng.random(count))
+    r = rng.random(count)
+    if count < _BUCKETS:
+        cells = np.searchsorted(model._cumulative, r)
+    else:
+        cells = _find_cells(model._cumulative, model._buckets, r)
     cells = np.minimum(cells, m - 1)
     slab = (cells + rng.random(count)) / m
-    w0 = 1.0 - (1.0 - slab) ** (1.0 / (n - 1))
+    v = np.empty((count, n))
+    v[:, 0] = w0 = 1.0 - (1.0 - slab) ** (1.0 / (n - 1))
     if n == 2:
-        return np.column_stack([w0, 1.0 - w0])
+        v[:, 1] = 1.0 - w0
+        return v
     e = rng.standard_exponential((count, n - 1))
-    rest = e / e.sum(axis=1, keepdims=True) * (1.0 - w0)[:, None]
-    return np.column_stack([w0, rest])
+    rest = np.divide(e, e.sum(axis=1, keepdims=True), out=v[:, 1:])
+    rest *= (1.0 - w0)[:, None]
+    return v
+
+
+def _break_rows(
+    model: MembraneModel, count: int, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` non-solipsistic breaks as rows of a (count, N) array.
+
+    Row i is a positive multiple of the barycentric weights of break i, and
+    row 0 is exactly them.  A uniform break is a row of unit-rate
+    exponentials, which normalised is uniform on the simplex; the classifier
+    ignores a row's scale, so only the row a single-shot trace prints is
+    normalised.  A single cell spans the whole simplex, so that membrane
+    draws the uniform rows, draw for draw.
+    """
+    if model.kind == "cellular" and model.cell_count > 1:
+        return _cellular_weights(rng, count, n, model)
+    e = rng.standard_exponential((count, n))
+    e[:1] /= e[:1].sum(axis=1, keepdims=True)
+    return e
 
 
 def draw_breaks(
     model: MembraneModel, u: np.ndarray, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw ``count`` membrane breaks; return their outcomes and weights.
+    """Draw ``count`` membrane breaks; return their outcomes and the first's weights.
 
     ``u`` holds the barycentric weights of the landed state point.  The
-    outcomes are elementary outcome indices, the weights the (count, N)
-    barycentric weights of the breaking points.  A solipsistic membrane
-    breaks only at vertices, and a break at a vertex sits on every tension
-    line at once; the solipsistic law resolves it to that vertex's own
-    outcome, which is what makes the die faces equiprobable.  It builds no
-    weight array and returns None for the weights.
+    outcomes are elementary outcome indices; the weights are the N
+    barycentric weights of the first breaking point, the one a single-shot
+    trace prints.  The breaks are classified in the array they were drawn
+    in, divided by ``u`` in place.  A solipsistic membrane breaks only at
+    vertices, and a break at a vertex sits on every tension line at once;
+    the solipsistic law resolves it to that vertex's own outcome, which is
+    what makes the die faces equiprobable.  It builds no weight array and
+    returns None for the weights.
     """
     n = len(u)
     if model.kind == "solipsistic":
         return rng.integers(0, n, size=count), None
-    if model.kind == "cellular":
-        v = _cellular_weights(rng, count, n, model)
-    else:
-        v = _uniform_weights(rng, count, n)
-    return classify_weights(v, u), v
+    v = _break_rows(model, count, n, rng)
+    first = v[0].copy()
+    return _classify(v, u, v), first
 
 
 # --- the measurement process -------------------------------------------------
@@ -318,7 +363,7 @@ def run_measurement(
                     )
         outcomes, weights = draw_breaks(model, plan.u, 1, rng)
         elementary = int(outcomes[0])
-    break_w = np.eye(n)[elementary] if weights is None else weights[0]
+    break_w = np.eye(n)[elementary] if weights is None else weights
 
     block = observable.degeneracy_partition[observable.block_index[elementary]]
     intermediate = project_onto_face(plan.on_membrane, simplex, block)

@@ -352,10 +352,19 @@ def classify_weights(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     and the membrane contracts to n_i.  Membership in sub-simplex i is
     equivalent to v_i / u_i <= v_j / u_j for all j, so the outcome is the
     argmin of the ratios along the last axis; numpy's argmin takes the first
-    minimum, so on tension lines (ties) the lowest index wins.
+    minimum, so on tension lines (ties) the lowest index wins.  Scaling a
+    row of ``v`` by a positive factor scales all its ratios alike and leaves
+    the argmin unchanged, so a row need not be normalised (in floating point
+    only ratios within rounding of a tie could flip); the batch sampler
+    classifies unnormalised rows on this ground.
     """
+    return _classify(v, u, None)
+
+
+def _classify(v: np.ndarray, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``classify_weights``, writing the ratios v / u to ``out``, which may be v."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = v / u
+        ratios = np.divide(v, u, out=out)
     # A zero weight of p means the sub-simplex is a measure-zero sliver the
     # membrane cannot tear into; never classify there.
     zero = u == 0.0

@@ -11,9 +11,13 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hm_sim import harness
+from hm_sim.bloch import PureState, pure_to_density
+from hm_sim.dynamics import MembraneModel, RandomSource
+from hm_sim.geometry import canonical_observable
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -77,3 +81,33 @@ def test_traced_run_records_the_sampler_and_membrane_extras(spans):
     assert ("harness.sample_elementary_outcomes",
             {"trials": 100, "model": "uniform", "n": 2, "workers": 1}) in extras
     assert ("harness.universal_average", {"membranes": 3}) in extras
+
+
+@pytest.mark.parametrize("model", ["uniform", "cellular", "solipsistic"])
+def test_sampler_draws_each_chunk_from_one_chunk_stream(monkeypatch, model):
+    # The bench's dynamics.chunk_stream span and its harness.chunk_fill
+    # metric count chunks through RandomSource.chunk_stream: one call per
+    # chunk index, ceil(T / CHUNK_TRIALS) in all.
+    calls = []
+    chunk_stream = RandomSource.chunk_stream
+
+    def recorded(self, job, chunk):
+        calls.append((job, chunk))
+        return chunk_stream(self, job, chunk)
+
+    monkeypatch.setattr(RandomSource, "chunk_stream", recorded)
+    membrane = {
+        "uniform": MembraneModel.uniform(),
+        "cellular": MembraneModel.cellular(np.full(50, 0.02)),
+        "solipsistic": MembraneModel.solipsistic(),
+    }[model]
+    state = pure_to_density(PureState.normalized([0.6, 0.48, 0.64]))
+    chunk = harness.CHUNK_TRIALS
+    for trials, workers in ((1, 1), (chunk, 2), (chunk + 1, 1), (3 * chunk - 7, 2)):
+        calls.clear()
+        harness.sample_elementary_outcomes(
+            state, canonical_observable(3), membrane, trials, RandomSource(5),
+            job=2, workers=workers,
+        )
+        chunks = -(-trials // chunk)
+        assert sorted(calls) == [(2, c) for c in range(chunks)]

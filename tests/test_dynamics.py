@@ -17,9 +17,12 @@ from hm_sim.bloch import (
     pure_to_density,
 )
 from hm_sim.dynamics import (
+    _BUCKETS,
     MembraneModel,
     RandomSource,
-    cell_index_of_weights,
+    _break_rows,
+    _bucket_table,
+    _find_cells,
     draw_breaks,
     luders_posterior,
     prepare_measurement,
@@ -44,10 +47,22 @@ def make_simplex(n, labels=None):
 def break_weights(model, n, count, rng):
     """Barycentric weights of ``count`` breaking points of the membrane model.
 
-    Where the membrane breaks does not depend on the landed point, so any
-    ``u`` serves; the centroid's.
+    The sampler draws each break as a row it only needs up to scale; the
+    weights are those rows normalised.
     """
-    return draw_breaks(model, np.full(n, 1.0 / n), count, rng)[1]
+    v = _break_rows(model, count, n, rng)
+    return v / v.sum(axis=1, keepdims=True)
+
+
+def cell_index_of_weights(weights, cell_count, dimension):
+    """Cell membership oracle: the slab of [0, 1) that F(w_0) falls in.
+
+    The cells are the preimages of [i/m, (i+1)/m) under the uniform law's
+    CDF of the first weight, F(w) = 1 - (1 - w)^(N-1).
+    """
+    w0 = np.asarray(weights, dtype=float)[..., 0]
+    f = 1.0 - (1.0 - w0) ** (dimension - 1)
+    return np.minimum((f * cell_count).astype(int), cell_count - 1)
 
 
 def test_random_source_streams_are_reproducible_and_independent():
@@ -117,6 +132,57 @@ def test_cells_have_equal_uniform_measure(n, m):
     freq = np.bincount(idx, minlength=m) / len(w)
     band = 4 * math.sqrt((1 / m) * (1 - 1 / m) / len(w))
     assert np.all(np.abs(freq - 1 / m) <= band)
+
+
+def adversarial_cumulative_weights():
+    """Cumulative cell weights that stress every edge of the bucket lookup."""
+    k = _BUCKETS
+    rng = np.random.default_rng(31)
+    random = np.cumsum(rng.dirichlet(np.ones(50)))
+    zeros = np.cumsum([0.0, 0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0])
+    on_edges = np.arange(1, 65) / 64.0
+    below_one = random.copy()
+    below_one[-1] = np.nextafter(1.0, 0.0)
+    above_one = random.copy()
+    above_one[-1] = np.nextafter(1.0, 2.0)
+    every_bucket = np.arange(1, 8 * k + 1) / (8 * k)
+    crowded = np.cumsum(rng.dirichlet(np.ones(5 * k)))
+    return {
+        "random": random, "zero-weight cells": zeros, "on bucket edges": on_edges,
+        "last one ulp below 1": below_one, "last one ulp above 1": above_one,
+        "every bucket ambiguous": every_bucket, "many more cells than buckets": crowded,
+    }
+
+
+@pytest.mark.parametrize("name", list(adversarial_cumulative_weights()))
+def test_bucket_lookup_equals_searchsorted(name):
+    # int(r * _BUCKETS) is the exact bucket of r only for a power of two.
+    assert _BUCKETS & (_BUCKETS - 1) == 0
+    cs = adversarial_cumulative_weights()[name]
+    edges = np.arange(_BUCKETS + 1) / _BUCKETS
+    keys = np.concatenate([
+        cs, np.nextafter(cs, 0.0), np.nextafter(cs, 2.0),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+        [0.0, np.nextafter(1.0, 0.0)],
+        np.random.default_rng(32).random(50000),
+    ])
+    keys = keys[(keys >= 0.0) & (keys < 1.0)]
+    table = _bucket_table(cs)
+    found = _find_cells(cs, table, keys)
+    np.testing.assert_array_equal(found, np.searchsorted(cs, keys))
+    if name == "every bucket ambiguous":
+        assert np.all(table < 0)
+    if name == "random":
+        assert np.mean(table >= 0) > 0.98
+
+
+def test_only_draws_as_long_as_the_bucket_table_build_it():
+    model = MembraneModel.cellular(np.full(50, 0.02))
+    u = np.full(3, 1 / 3)
+    draw_breaks(model, u, _BUCKETS - 1, RandomSource(1).trial_stream(0))
+    assert "_buckets" not in vars(model)
+    draw_breaks(model, u, _BUCKETS, RandomSource(1).trial_stream(0))
+    assert "_buckets" in vars(model)
 
 
 @pytest.mark.parametrize("n,m", [(2, 6), (3, 9)])

@@ -1,15 +1,17 @@
 """Batch Monte Carlo engine, convergence reports, chi-square acceptance."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from hm_sim.bloch import pure_to_density
-from hm_sim.dynamics import MembraneModel, RandomSource
+from hm_sim.dynamics import MembraneModel, RandomSource, prepare_measurement
 from hm_sim.errors import ConfigError, DimensionError
 from hm_sim.geometry import born_probabilities, canonical_observable
 from hm_sim.harness import (
+    CHUNK_TRIALS,
     ExperimentConfig,
     _hotelling_check,
     chi_square_check,
@@ -197,6 +199,76 @@ def test_sampler_threads_are_bounded_by_chunks_and_cpus(monkeypatch):
     pools.clear()
     sample(5 * chunk, 8)
     assert pools == []
+
+
+def oracle_chunk_outcomes(model, u, count, rng):
+    """The reference batch draw: normalised rows, one classifier.
+
+    Uniform rows are divided by their sums, cellular cells come from a plain
+    ``searchsorted`` over the cumulative weights and the weights are stacked
+    column by column, then every row is classified by argmin(v / u).
+    """
+    n = len(u)
+    if model.kind == "solipsistic":
+        return rng.integers(0, n, size=count)
+    m = model.cell_count
+    if model.kind == "uniform" or m == 1:
+        e = rng.standard_exponential((count, n))
+        v = e / e.sum(axis=1, keepdims=True)
+    else:
+        cells = np.searchsorted(np.cumsum(model.cell_weights), rng.random(count))
+        cells = np.minimum(cells, m - 1)
+        slab = (cells + rng.random(count)) / m
+        w0 = 1.0 - (1.0 - slab) ** (1.0 / (n - 1))
+        if n == 2:
+            v = np.column_stack([w0, 1.0 - w0])
+        else:
+            e = rng.standard_exponential((count, n - 1))
+            rest = e / e.sum(axis=1, keepdims=True) * (1.0 - w0)[:, None]
+            v = np.column_stack([w0, rest])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = v / u
+    ratios[:, u == 0.0] = np.inf
+    return np.argmin(ratios, axis=-1)
+
+
+@pytest.mark.parametrize("n", (2, 3, 6, 8))
+def test_sampler_draws_the_outcomes_of_the_normalised_oracle(n):
+    # Full chunks and a partial chunk shorter than the bucket table; a real
+    # landed point and one with an exact zero weight.
+    trials = 2 * CHUNK_TRIALS + 1000
+    rng = np.random.default_rng(60 + n)
+    obs = canonical_observable(n)
+    state = pure_to_density(random_pure_state(RandomSource(8), n, n))
+    plan = prepare_measurement(state, obs)
+    zero_u = np.array(plan.u)
+    zero_u[n // 2] = 0.0
+    zero_u /= zero_u.sum()
+    plans = (plan, dataclasses.replace(plan, u=zero_u))
+    models = (
+        MembraneModel.uniform(),
+        MembraneModel.cellular([1.0]),
+        MembraneModel.cellular(rng.dirichlet(np.ones(50))),
+        MembraneModel.cellular(rng.dirichlet(np.ones(5000))),
+        MembraneModel.solipsistic(),
+    )
+    source = RandomSource(SEED + n)
+    for p in plans:
+        for model in models:
+            expected = np.concatenate([
+                oracle_chunk_outcomes(
+                    model, p.u, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS),
+                    source.chunk_stream(4, c),
+                )
+                for c in range(3)
+            ])
+            for workers in (1, 2):
+                got = sample_elementary_outcomes(
+                    state, obs, model, trials, source, job=4, workers=workers, plan=p
+                )
+                np.testing.assert_array_equal(got, expected)
+            if p is plans[1] and model.kind != "solipsistic":
+                assert not np.any(got == n // 2)
 
 
 def test_chi_square_exact_match_passes_with_zero_statistic():

@@ -1,10 +1,11 @@
-"""Report-byte guard: SHA-256 digests of five small in-process CLI reports.
+"""Report-byte guard: SHA-256 digests of small in-process CLI reports.
 
 The CLI promises identical report bytes for a fixed seed and config.  These
-digests pin that promise at test speed for one run of each command; the
-full byte contract is the benchmark's ``bench/golden.json``.  A change that
-moves report bytes on purpose re-records these digests together with
-``golden.json`` and says so in CHANGES.md.
+digests pin that promise at test speed for one run of each command, plus
+two fixed-weights universal-average runs, which are expected failures
+(exit 1); the full byte contract is the benchmark's ``bench/golden.json``.
+A change that moves report bytes on purpose re-records these digests
+together with ``golden.json`` and says so in CHANGES.md.
 """
 
 import hashlib
@@ -34,6 +35,33 @@ UNIVERSAL_AVERAGE = {
     "trials_per_membrane": 100,
 }
 
+# The README's expected failure, all weight on the last of 50 cells; and a
+# spread of fixed weights, whose counts move with every drawn cell.  At
+# 5000 trials per membrane each chunk is long enough for the bucket lookup.
+FIXED_LAST_CELL = {
+    "schema_version": "1",
+    "experiment": "universal-average",
+    "dimension": 2,
+    "state": {"kind": "bloch", "coordinates": [0.866025403784, 0.0, 0.5]},
+    "observable": {"kind": "canonical"},
+    "cells": 50,
+    "membranes": 3,
+    "trials_per_membrane": 5000,
+    "fixed_cell_weights": [0] * 49 + [1],
+}
+
+FIXED_SPREAD = {
+    "schema_version": "1",
+    "experiment": "universal-average",
+    "dimension": 3,
+    "state": {"kind": "pure", "re": [0.6, 0.48, 0.64]},
+    "observable": {"kind": "canonical"},
+    "cells": 4,
+    "membranes": 2,
+    "trials_per_membrane": 5000,
+    "fixed_cell_weights": [0.1, 0.2, 0.3, 0.4],
+}
+
 CASES = {
     "measure": (["measure"], MEASURE,
                 "b043d32b420bae2e06ac5195018d82a1abea4f77331a330af2cc17e7fd59e2a0"),
@@ -46,7 +74,13 @@ CASES = {
                      "cfec492568c380a4d5c03d70ce864773c3c2649c337d2bfdf1ab9dfa7c34c2af"),
     "universal-average": (["universal-average"], UNIVERSAL_AVERAGE,
                           "851449f267b242317fd91253a2b7d9fcb682892f72ccfde65498fd600372c77b"),
+    "fixed-last-cell": (["universal-average"], FIXED_LAST_CELL,
+                        "f96191765e0bd294a3cc4d29e881c3d4f55bec73982eedff19f45502df6417f1"),
+    "fixed-spread": (["universal-average"], FIXED_SPREAD,
+                     "a29b09b8451c4894d6d0dd3534c15d4f3df65a3425d454c9472fb2051480da10"),
 }
+
+EXPECTED_EXIT = {"fixed-last-cell": 1, "fixed-spread": 1}
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -59,5 +93,5 @@ def test_report_bytes_are_pinned(tmp_path, capsys, name):
         argv += ["--config", str(path)]
     code = main(argv)
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == EXPECTED_EXIT.get(name, 0)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
