@@ -181,66 +181,74 @@ def _find_cells(cs: np.ndarray, table: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _cellular_weights(
-    rng: np.random.Generator, count: int, n: int, model: MembraneModel
+    rng: np.random.Generator, model: MembraneModel, v: np.ndarray
 ) -> np.ndarray:
-    """Barycentric weights of ``count`` breaks of a membrane of m > 1 cells."""
+    """Barycentric weights of len(v) breaks of a membrane of m > 1 cells, in v."""
+    count, n = v.shape
     m = model.cell_count
     r = rng.random(count)
     if count < _BUCKETS:
         cells = np.searchsorted(model._cumulative, r)
     else:
         cells = _find_cells(model._cumulative, model._buckets, r)
-    cells = np.minimum(cells, m - 1)
-    slab = (cells + rng.random(count)) / m
-    v = np.empty((count, n))
-    v[:, 0] = w0 = 1.0 - (1.0 - slab) ** (1.0 / (n - 1))
+    np.minimum(cells, m - 1, out=cells)
+    # x holds the slab coordinate s, 1 - s, (1 - s)^(1/(N-1)), then 1 - w0.
+    x = rng.random(count)
+    x += cells
+    x /= m
+    np.subtract(1.0, x, out=x)
+    x **= 1.0 / (n - 1)
+    w0 = np.subtract(1.0, x, out=v[:, 0])
+    np.subtract(1.0, w0, out=x)
     if n == 2:
-        v[:, 1] = 1.0 - w0
+        v[:, 1] = x
         return v
     e = rng.standard_exponential((count, n - 1))
     rest = np.divide(e, e.sum(axis=1, keepdims=True), out=v[:, 1:])
-    rest *= (1.0 - w0)[:, None]
+    rest *= x[:, None]
     return v
 
 
 def _break_rows(
-    model: MembraneModel, count: int, n: int, rng: np.random.Generator
+    model: MembraneModel, rng: np.random.Generator, v: np.ndarray
 ) -> np.ndarray:
-    """``count`` non-solipsistic breaks as rows of a (count, N) array.
+    """Non-solipsistic breaks as the rows of ``v``, a (count, N) array.
 
-    Row i is a positive multiple of the barycentric weights of break i, and
-    row 0 is exactly them.  A uniform break is a row of unit-rate
+    Row i becomes a positive multiple of the barycentric weights of break i,
+    and row 0 exactly them.  A uniform break is a row of unit-rate
     exponentials, which normalised is uniform on the simplex; the classifier
     ignores a row's scale, so only the row a single-shot trace prints is
     normalised.  A single cell spans the whole simplex, so that membrane
     draws the uniform rows, draw for draw.
     """
     if model.kind == "cellular" and model.cell_count > 1:
-        return _cellular_weights(rng, count, n, model)
-    e = rng.standard_exponential((count, n))
-    e[:1] /= e[:1].sum(axis=1, keepdims=True)
-    return e
+        return _cellular_weights(rng, model, v)
+    rng.standard_exponential(out=v)
+    v[:1] /= v[:1].sum(axis=1, keepdims=True)
+    return v
 
 
 def draw_breaks(
-    model: MembraneModel, u: np.ndarray, count: int, rng: np.random.Generator
+    model: MembraneModel, u: np.ndarray, count: int, rng: np.random.Generator,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw ``count`` membrane breaks; return their outcomes and the first's weights.
 
     ``u`` holds the barycentric weights of the landed state point.  The
     outcomes are elementary outcome indices; the weights are the N
     barycentric weights of the first breaking point, the one a single-shot
-    trace prints.  The breaks are classified in the array they were drawn
-    in, divided by ``u`` in place.  A solipsistic membrane breaks only at
-    vertices, and a break at a vertex sits on every tension line at once;
-    the solipsistic law resolves it to that vertex's own outcome, which is
-    what makes the die faces equiprobable.  It builds no weight array and
-    returns None for the weights.
+    trace prints.  The breaks are drawn into ``rows``, a C-contiguous
+    (count, N) array a caller may reuse across draws (a new one if None),
+    and classified there, divided by ``u`` in place.  A solipsistic membrane
+    breaks only at vertices, and a break at a vertex sits on every tension
+    line at once; the solipsistic law resolves it to that vertex's own
+    outcome, which is what makes the die faces equiprobable.  It builds no
+    weight array and returns None for the weights.
     """
     n = len(u)
     if model.kind == "solipsistic":
         return rng.integers(0, n, size=count), None
-    v = _break_rows(model, count, n, rng)
+    v = _break_rows(model, rng, np.empty((count, n)) if rows is None else rows)
     first = v[0].copy()
     return _classify(v, u, v), first
 
@@ -355,8 +363,9 @@ def run_measurement(
         if model.kind == "solipsistic":
             # A solipsistic break may land on any vertex; a block the state
             # cannot reach has no Lueders posterior to collapse to.
-            for blk in observable.degeneracy_partition:
-                if plan.born[list(blk)].sum() <= MIN_BLOCK_PROB:
+            reach = observable.block_sums(plan.born)
+            for blk, p in zip(observable.degeneracy_partition, reach):
+                if p <= MIN_BLOCK_PROB:
                     raise ConfigError(
                         f"a solipsistic membrane can break into outcome block {blk}, "
                         "which has probability 0 for this state"

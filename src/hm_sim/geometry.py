@@ -47,7 +47,8 @@ class Observable:
     ``degeneracy_partition`` holds the (0-based) indices sharing one label,
     ordered by first appearance.  ``block_index`` maps each index to the
     position of its block (int64) and ``block_labels`` holds each block's
-    label.  ``simplex`` is the observable's measurement simplex, the one
+    label; ``block_sums`` folds N per-eigenstate values into their blocks.
+    ``simplex`` is the observable's measurement simplex, the one
     membrane every measurement of it shares; it is built on first use.
     """
 
@@ -96,6 +97,10 @@ class Observable:
     @cached_property
     def simplex(self) -> MeasurementSimplex:
         return build_measurement_simplex(self)
+
+    def block_sums(self, x: np.ndarray) -> np.ndarray:
+        """The sum of ``x`` over each degeneracy block, in block order."""
+        return np.array([x[list(b)].sum() for b in self.degeneracy_partition])
 
     def projector(self, indices) -> np.ndarray:
         """Sum of |n_i><n_i| over the given eigenstate indices."""

@@ -6,9 +6,10 @@ classified against the landed state point in one argmin.  One thread runs
 about 7-19 million uniform trials per second at N = 8 down to N = 2,
 4.5-21 million cellular (50 cells) and 50-75 million solipsistic ones
 (2-vCPU Xeon VM, numpy 2.4).  Trials are organized in fixed-size chunks,
-each chunk drawing from its own derived random stream, so results are
-bit-identical regardless of execution order or how many workers shard the
-chunks.
+each chunk drawing from its own derived random stream.  A batch keeps only
+the count of each outcome, added up chunk by chunk, so its memory does not
+grow with the number of trials and its counts are identical regardless of
+execution order or how many workers share the chunks.
 
 Every run carries two probability routes: the Hilbert-space oracle
 Tr(D P_i) and the membrane geometry (barycentric coordinates of the
@@ -159,34 +160,42 @@ def sample_elementary_outcomes(
     workers: int = 1,
     plan: MeasurementPlan | None = None,
 ) -> np.ndarray:
-    """Outcome indices of ``trials`` independent membrane measurements.
+    """N int64 counts: how often each elementary outcome occurs in ``trials`` runs.
 
-    ``job`` namespaces the random streams so distinct experiment parts sharing
-    one master seed stay independent.  ``workers`` only affects wall time; no
-    more threads run than chunks or CPUs, and a single one needs no pool.
-    ``plan`` is a prepared measurement of (state, observable) to reuse;
-    without one the sampler prepares its own.
+    Each chunk is counted as soon as it is drawn, so memory does not grow
+    with ``trials``.  ``job`` namespaces the random streams so distinct
+    experiment parts sharing one master seed stay independent.  ``workers``
+    only affects wall time: worker w counts chunks w, w + workers, ..., and
+    integer sums are exact in any order.  No more threads run than chunks
+    or CPUs, and a single one needs no pool.  ``plan`` is a prepared
+    measurement of (state, observable) to reuse; without one the sampler
+    prepares its own.
     """
     if plan is None:
         plan = prepare_measurement(state, observable)
+    n = len(plan.u)
     if plan.at_vertex is not None:
         # Eigenstate input: that outcome occurs with certainty under every
         # membrane model (first-kind condition).
-        return np.full(trials, plan.at_vertex, dtype=np.int64)
+        return np.eye(n, dtype=np.int64)[plan.at_vertex] * trials
 
-    chunk_ids = range((trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
+    chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    workers = max(1, min(workers, chunks, os.cpu_count() or 1))
 
-    def run_chunk(c: int) -> np.ndarray:
-        count = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
-        return draw_breaks(model, plan.u, count, source.chunk_stream(job, c))[0]
+    def count_chunks(w: int) -> np.ndarray:
+        counts = np.zeros(n, dtype=np.int64)
+        rows = np.empty((min(CHUNK_TRIALS, trials), n))
+        for c in range(w, chunks, workers):
+            size = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
+            stream = source.chunk_stream(job, c)
+            outcomes = draw_breaks(model, plan.u, size, stream, rows[:size])[0]
+            counts += np.bincount(outcomes, minlength=n)
+        return counts
 
-    workers = min(workers, len(chunk_ids), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, chunk_ids))
-    else:
-        parts = [run_chunk(c) for c in chunk_ids]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    if workers == 1:
+        return count_chunks(0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(count_chunks, range(workers)))
 
 
 # --- statistics ----------------------------------------------------------------
@@ -222,12 +231,10 @@ def chi_square_check(
         raise ConfigError("expected probabilities must sum to 1")
 
     retain = expected >= 10.0 / total
-    terms = []
-    cells = 0
+    cells = int(retain.sum())
     statistic = 0.0
     for o, e in zip(observed[retain], expected[retain] * total):
         statistic += (o - e) ** 2 / e
-        cells += 1
     pooled_obs = float(observed[~retain].sum())
     pooled_exp = float(expected[~retain].sum()) * total
     if np.any(~retain):
@@ -280,16 +287,6 @@ class ConvergenceReport:
             raise OracleMismatchError("empirical frequencies must sum to 1")
 
 
-def _block_structure(observable: Observable, born: np.ndarray):
-    """Block labels, the elementary-to-block index map and Born block weights."""
-    oracle_blocks = np.array([born[list(b)].sum() for b in observable.degeneracy_partition])
-    return observable.block_labels, observable.block_index, oracle_blocks
-
-
-def _block_counts(outcomes: np.ndarray, elem_to_block: np.ndarray, n_blocks: int):
-    return np.bincount(elem_to_block[outcomes], minlength=n_blocks)
-
-
 def _band_report(
     labels,
     counts: np.ndarray,
@@ -328,25 +325,17 @@ def simulate_statistics(
     """Run the configured experiment and compare frequencies to the oracle."""
     state, observable, model = config.resolve()
     plan = prepare_measurement(state, observable)
-    labels, elem_to_block, oracle_blocks = _block_structure(observable, plan.born)
+    oracle_blocks = observable.block_sums(plan.born)
 
     source = RandomSource(config.master_seed)
-    outcomes = sample_elementary_outcomes(
+    counts = observable.block_sums(sample_elementary_outcomes(
         state, observable, model, config.trials, source, job, workers, plan=plan
-    )
-    counts = _block_counts(outcomes, elem_to_block, len(labels))
+    ))
     sigma = np.sqrt(oracle_blocks * (1 - oracle_blocks) / config.trials)
     chi = chi_square_check(counts, oracle_blocks)
     return _band_report(
-        labels,
-        counts,
-        oracle_blocks,
-        sigma,
-        "binomial",
-        config.tolerance_sigmas,
-        config.trials,
-        chi,
-        meta={},
+        observable.block_labels, counts, oracle_blocks, sigma, "binomial",
+        config.tolerance_sigmas, config.trials, chi, meta={},
     )
 
 
@@ -425,28 +414,23 @@ def universal_average_experiment(
     state_op = resolve_state_spec(state, dimension)
     observable_op = resolve_observable_spec(observable, dimension)
     plan = prepare_measurement(state_op, observable_op)
-    labels, elem_to_block, oracle_blocks = _block_structure(observable_op, plan.born)
+    oracle_blocks = observable_op.block_sums(plan.born)
 
     source = RandomSource(master_seed)
     k, n = membrane_samples, trials_per_membrane
     total = k * n
+    random_weights = cell_count > 1 and fixed_cell_weights is None
 
     if cell_count == 1:
         # Single full-simplex cell: every membrane is the uniform one.  Run a
         # single uniform job so the result is draw-for-draw identical to the
         # plain uniform-membrane experiment with k*n trials.
-        outcomes = sample_elementary_outcomes(
+        counts = observable_op.block_sums(sample_elementary_outcomes(
             state_op, observable_op, MembraneModel.uniform(), total, source,
             job=0, workers=workers, plan=plan,
-        )
-        per_membrane = outcomes.reshape(k, n)
-        counts_matrix = np.stack(
-            [_block_counts(row, elem_to_block, len(labels)) for row in per_membrane]
-        )
-        random_weights = False
+        ))
     else:
-        counts_matrix = np.empty((k, len(labels)), dtype=np.int64)
-        random_weights = fixed_cell_weights is None
+        counts_matrix = np.empty((k, len(oracle_blocks)), dtype=np.int64)
         if not random_weights:
             # One membrane for the whole run, whose lookup table a long
             # enough draw builds once.
@@ -455,16 +439,14 @@ def universal_average_experiment(
             if random_weights:
                 e = source.membrane_stream(i).standard_exponential(cell_count)
                 model = MembraneModel.cellular(e / e.sum())
-            outcomes = sample_elementary_outcomes(
+            counts_matrix[i] = observable_op.block_sums(sample_elementary_outcomes(
                 state_op, observable_op, model, n, source,
                 job=i, workers=workers, plan=plan,
-            )
-            counts_matrix[i] = _block_counts(outcomes, elem_to_block, len(labels))
-
-    counts = counts_matrix.sum(axis=0)
+            ))
+        counts = counts_matrix.sum(axis=0)
     binomial_sigma = np.sqrt(oracle_blocks * (1 - oracle_blocks) / total)
 
-    if random_weights and cell_count > 1 and k >= 2:
+    if random_weights and k >= 2:
         membrane_freqs = counts_matrix / n
         se = np.std(membrane_freqs, axis=0, ddof=1) / np.sqrt(k)
         sigma = np.maximum(se, binomial_sigma)
@@ -482,7 +464,7 @@ def universal_average_experiment(
         "fixed_cell_weights": fixed_cell_weights is not None,
     }
     return _band_report(
-        labels, counts, oracle_blocks, sigma, sigma_model,
+        observable_op.block_labels, counts, oracle_blocks, sigma, sigma_model,
         tolerance_sigmas, total, chi, meta,
     )
 

@@ -181,6 +181,12 @@ BAD_VALUES = {
     "face-with-leading-zero": ("die", {"start": "on_table:04"}),
     "face-after-a-space": ("die", {"start": "on_table: 4"}),
     "face-before-a-newline": ("die", {"start": "on_table:4\n"}),
+    # Counts past int64 at a vertex, and one step over each count bound.
+    "trials-beyond-int64-at-a-vertex": ("spin-machine", {"angle": 0.0, "trials": 10**29}),
+    "spin-machine-trials-above-max": ("spin-machine", {"angle": 1.0, "trials": 10**8 + 1}),
+    "verify-born-trials-above-max": ("verify-born", {"dimension": 3, "trials": 10**8 + 1}),
+    "states-above-max": ("verify-born", {"dimension": 3, "states": 10**4 + 1}),
+    "rolls-above-max": ("die", {"rolls": 10**9 + 1, "start": "on_table:4"}),
 }
 
 
@@ -433,12 +439,19 @@ LITERALS = {"FLOAT_BEYOND_RANGE": "1e400", "INT_OF_5000_DIGITS": "9" * 5000}
         (_measure_config(state={"kind": "pure", "re": ["FLOAT_BEYOND_RANGE", 1.0]}), None),
         (_ua_config(tolerance_sigmas="FLOAT_BEYOND_RANGE"), None),
         (_measure_config(seed="INT_OF_5000_DIGITS"), None),
+        (_ua_config(cells=10**12), None),
+        (_ua_config(membranes=10**12), None),
+        (_ua_config(cells=10**6 + 1), None),
+        (_ua_config(membranes=10**5 + 1), None),
+        (_ua_config(trials_per_membrane=10**8 + 1), None),
     ],
     ids=["pure-without-re", "basis-without-index", "basis-index-out-of-range",
          "cellular-without-weights", "out-into-missing-dir", "nan-amplitude",
          "infinite-tolerance", "measure-dimension-above-max",
          "universal-average-dimension-above-max", "amplitude-beyond-float-range",
-         "tolerance-beyond-float-range", "seed-beyond-int-digit-limit"],
+         "tolerance-beyond-float-range", "seed-beyond-int-digit-limit",
+         "cells-10**12", "membranes-10**12", "cells-above-max", "membranes-above-max",
+         "trials-per-membrane-above-max"],
 )
 def test_schema_valid_bad_inputs_exit_2_without_traceback(tmp_path, capsys, config, out):
     text = json.dumps(config)

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from hm_sim.bloch import pure_to_density
-from hm_sim.dynamics import MembraneModel, RandomSource, prepare_measurement
+from hm_sim.bloch import PureState, pure_to_density
+from hm_sim.dynamics import MembraneModel, RandomSource, draw_breaks, prepare_measurement
 from hm_sim.errors import ConfigError, DimensionError
 from hm_sim.geometry import born_probabilities, canonical_observable
 from hm_sim.harness import (
@@ -255,20 +255,69 @@ def test_sampler_draws_the_outcomes_of_the_normalised_oracle(n):
     source = RandomSource(SEED + n)
     for p in plans:
         for model in models:
-            expected = np.concatenate([
-                oracle_chunk_outcomes(
-                    model, p.u, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS),
-                    source.chunk_stream(4, c),
-                )
-                for c in range(3)
-            ])
+            expected = []
+            for c in range(3):
+                size = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
+                oracle = oracle_chunk_outcomes(model, p.u, size, source.chunk_stream(4, c))
+                drawn, _ = draw_breaks(model, p.u, size, source.chunk_stream(4, c))
+                np.testing.assert_array_equal(drawn, oracle)
+                expected.append(oracle)
+            expected = np.bincount(np.concatenate(expected), minlength=n)
             for workers in (1, 2):
                 got = sample_elementary_outcomes(
                     state, obs, model, trials, source, job=4, workers=workers, plan=p
                 )
+                assert got.dtype == np.int64
                 np.testing.assert_array_equal(got, expected)
             if p is plans[1] and model.kind != "solipsistic":
-                assert not np.any(got == n // 2)
+                assert got[n // 2] == 0
+
+
+@pytest.mark.parametrize("kind", ("uniform", "cellular", "solipsistic"))
+def test_sampler_memory_does_not_grow_with_trials(kind):
+    # Sixteen times the trials may not double the peak: the sampler keeps
+    # counts, not the outcome of every trial.
+    import tracemalloc
+
+    model = {
+        "uniform": MembraneModel.uniform(),
+        "cellular": MembraneModel.cellular(np.full(50, 0.02)),
+        "solipsistic": MembraneModel.solipsistic(),
+    }[kind]
+    state = pure_to_density(random_pure_state(RandomSource(3), 1, 3))
+    obs = canonical_observable(3)
+    plan = prepare_measurement(state, obs)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            counts = sample_elementary_outcomes(
+                state, obs, model, trials, RandomSource(5), plan=plan
+            )
+            return tracemalloc.get_traced_memory()[1], counts
+        finally:
+            tracemalloc.stop()
+
+    small, few = peak(4 * CHUNK_TRIALS)
+    large, many = peak(64 * CHUNK_TRIALS)
+    assert few.sum() == 4 * CHUNK_TRIALS and many.sum() == 64 * CHUNK_TRIALS
+    assert large <= 2 * small, (small, large)
+
+
+def test_vertex_sample_counts_without_drawing(monkeypatch):
+    # An eigenstate gives its own outcome with certainty: 10**15 trials are
+    # one count, with no chunk drawn.
+    def no_draws(self, job, chunk):
+        raise AssertionError("a vertex sample drew a chunk")
+
+    monkeypatch.setattr(RandomSource, "chunk_stream", no_draws)
+    obs = canonical_observable(4)
+    state = pure_to_density(PureState.basis_state(4, 2))
+    counts = sample_elementary_outcomes(
+        state, obs, MembraneModel.uniform(), 10**15, RandomSource(5), workers=2
+    )
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [0, 0, 10**15, 0]
 
 
 def test_chi_square_exact_match_passes_with_zero_statistic():

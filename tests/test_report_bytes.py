@@ -3,7 +3,8 @@
 The CLI promises identical report bytes for a fixed seed and config.  These
 digests pin that promise at test speed for one run of each command, plus
 two fixed-weights universal-average runs, which are expected failures
-(exit 1); the full byte contract is the benchmark's ``bench/golden.json``.
+(exit 1), a one-cell universal-average run and a die rolled from a face;
+the full byte contract is the benchmark's ``bench/golden.json``.
 A change that moves report bytes on purpose re-records these digests
 together with ``golden.json`` and says so in CHANGES.md.
 """
@@ -62,6 +63,19 @@ FIXED_SPREAD = {
     "fixed_cell_weights": [0.1, 0.2, 0.3, 0.4],
 }
 
+# One cell: every membrane is the uniform one, run as a single uniform job
+# of 20000 trials over three chunks, with a degenerate block.
+ONE_CELL = {
+    "schema_version": "1",
+    "experiment": "universal-average",
+    "dimension": 3,
+    "state": {"kind": "pure", "re": [0.6, 0.48, 0.64]},
+    "observable": {"kind": "canonical", "labels": [1, 1, 2]},
+    "cells": 1,
+    "membranes": 4,
+    "trials_per_membrane": 5000,
+}
+
 CASES = {
     "measure": (["measure"], MEASURE,
                 "b043d32b420bae2e06ac5195018d82a1abea4f77331a330af2cc17e7fd59e2a0"),
@@ -78,6 +92,10 @@ CASES = {
                         "f96191765e0bd294a3cc4d29e881c3d4f55bec73982eedff19f45502df6417f1"),
     "fixed-spread": (["universal-average"], FIXED_SPREAD,
                      "a29b09b8451c4894d6d0dd3534c15d4f3df65a3425d454c9472fb2051480da10"),
+    "one-cell": (["universal-average"], ONE_CELL,
+                 "f8eadc8b52d62d744ca2f59b84d0c1933cdc53d1ef325467c45eba7e27ea983c"),
+    "die-on-table": (["die", "--start", "on_table:4", "--rolls", "600"], None,
+                     "334ffca39b27f4d152daa634f88271640dccd8f03e33a89aba23142c75243ebd"),
 }
 
 EXPECTED_EXIT = {"fixed-last-cell": 1, "fixed-spread": 1}
