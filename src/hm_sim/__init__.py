@@ -13,7 +13,6 @@ from .bloch import (
     PureState,
     bloch_to_density,
     density_to_bloch,
-    is_valid_state,
     pure_to_density,
 )
 from .dynamics import (
@@ -51,7 +50,6 @@ from .geometry import (
 from .harness import (
     ChiSquareResult,
     ConvergenceReport,
-    ExperimentConfig,
     chi_square_check,
     sample_elementary_outcomes,
     simulate_statistics,
@@ -68,7 +66,6 @@ __all__ = [
     "ConvergenceReport",
     "DensityOperator",
     "DimensionError",
-    "ExperimentConfig",
     "GeometryError",
     "HmSimError",
     "ImpossibleOutcomeError",
@@ -89,7 +86,6 @@ __all__ = [
     "canonical_observable",
     "chi_square_check",
     "density_to_bloch",
-    "is_valid_state",
     "luders_posterior",
     "prepare_measurement",
     "project_onto_membrane",

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -105,10 +104,6 @@ class DensityOperator:
     def maximally_mixed(cls, dimension: int) -> "DensityOperator":
         return cls(dimension, np.eye(dimension, dtype=complex) / dimension)
 
-    def purity(self) -> float:
-        """Tr(D^2); equals 1 exactly for pure states."""
-        return float(np.real(np.einsum("ij,ji->", self.matrix, self.matrix)))
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -153,10 +148,6 @@ class PureState:
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def equivalent_to(self, other: "PureState", tol: float = EIGEN_TOL) -> bool:
-        """True when the two states differ only by a global phase."""
-        return abs(abs(self.overlap(other)) - 1.0) <= tol
-
 
 @dataclass(frozen=True)
 class BlochVector:
@@ -179,18 +170,9 @@ class BlochVector:
             raise InvalidStateError(f"norm {norm:.12f} exceeds 1; not a point of the ball")
         object.__setattr__(self, "coordinates", _frozen(c))
 
-    @classmethod
-    def center(cls, dimension: int) -> "BlochVector":
-        return cls(dimension, np.zeros(dimension**2 - 1))
-
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.coordinates))
-
-
-class StateValidity(NamedTuple):
-    valid: bool
-    min_eigenvalue: float
 
 
 def build_generator_basis(dimension: int) -> GeneratorBasis:
@@ -272,7 +254,13 @@ def _bloch_coordinates(matrix: np.ndarray) -> np.ndarray:
     return (traces.real + 0.0) * (n / (2.0 * c))
 
 
-def _bloch_matrix(r: BlochVector) -> np.ndarray:
+def bloch_to_density(r: BlochVector) -> DensityOperator:
+    """Inverse map, D = (1/N)(I + c_N r . L).
+
+    For N >= 3 the ball is not filled with states, so the reconstructed
+    operator may fail positivity; that raises ``InvalidStateError`` carrying
+    the offending minimum eigenvalue.
+    """
     n = r.dimension
     upper, lower, diagonal, c = _layout(n)
     pairs = len(upper)
@@ -281,17 +269,7 @@ def _bloch_matrix(r: BlochVector) -> np.ndarray:
     m.real[upper] = m.real[lower] = sym
     m.imag[upper], m.imag[lower] = -anti, anti
     m.real[:: n + 1] = r.coordinates[2 * pairs :] @ diagonal
-    return (np.eye(n, dtype=complex) + c * m.reshape(n, n)) / n
-
-
-def bloch_to_density(r: BlochVector) -> DensityOperator:
-    """Inverse map, D = (1/N)(I + c_N r . L).
-
-    For N >= 3 the ball is not filled with states, so the reconstructed
-    operator may fail positivity; that raises ``InvalidStateError`` carrying
-    the offending minimum eigenvalue.
-    """
-    m = _bloch_matrix(r)
+    m = (np.eye(n, dtype=complex) + c * m.reshape(n, n)) / n
     lo = float(np.linalg.eigvalsh(m)[0])
     if lo < -EIGEN_TOL:
         raise InvalidStateError(
@@ -300,12 +278,6 @@ def bloch_to_density(r: BlochVector) -> DensityOperator:
             min_eigenvalue=lo,
         )
     return DensityOperator(r.dimension, m)
-
-
-def is_valid_state(r: BlochVector) -> StateValidity:
-    """Total version of ``bloch_to_density``: never raises for in-ball input."""
-    lo = float(np.linalg.eigvalsh(_bloch_matrix(r))[0])
-    return StateValidity(lo >= -EIGEN_TOL, lo)
 
 
 def pure_to_density(psi: PureState) -> DensityOperator:

@@ -11,11 +11,14 @@ the count of each outcome, added up chunk by chunk, so its memory does not
 grow with the number of trials and its counts are identical regardless of
 execution order or how many workers share the chunks.
 
-Every run carries two probability routes: the Hilbert-space oracle
-Tr(D P_i) and the membrane geometry (barycentric coordinates of the
-projected state).  They must agree to 1e-9 or the run aborts; empirical
-frequencies are then compared against the oracle with per-block sigma bands
-and a Pearson chi-square test.
+An experiment is a list of jobs, each (job id, membrane model, trials),
+run on one prepared measurement of the state: a plain batch is one job, a
+universal average one job per membrane.  The preparation carries two
+probability routes, the Hilbert-space oracle Tr(D P_i) and the membrane
+geometry (barycentric coordinates of the projected state), which must agree
+to 1e-9 or the run aborts.  One verdict then compares the block counts to
+the oracle: binomial sigma bands and Pearson chi-square, or, over random
+membranes, between-membrane bands and Hotelling T^2.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ from .geometry import Observable, canonical_observable, spin_observable
 # Trials per chunk.  Fixed: chunk boundaries define the random streams, so
 # changing this constant changes results, but worker counts never do.
 CHUNK_TRIALS = 8192
+
+# Both fit checks, chi-square and Hotelling T^2, pass below this quantile.
+_VERDICT_QUANTILE = 0.999
 
 
 # --- experiment specification -------------------------------------------------
@@ -209,13 +215,11 @@ class ChiSquareResult:
     passed: bool
 
 
-def chi_square_check(
-    observed_counts, expected_probabilities, quantile: float = 0.999
-) -> ChiSquareResult:
+def chi_square_check(observed_counts, expected_probabilities) -> ChiSquareResult:
     """Pearson goodness-of-fit against the given expected probabilities.
 
     Blocks with expected probability below 10/total are pooled into one;
-    the threshold is the ``quantile`` point of chi-square with
+    the threshold is the 0.999 quantile of chi-square with
     (retained blocks - 1) degrees of freedom.  With 0 degrees of freedom
     the one cell's observed and expected counts agree up to rounding, so
     only an infinite statistic (hits in a zero-probability block) fails.
@@ -249,7 +253,7 @@ def chi_square_check(
     from scipy.special import gammaincinv
 
     # The chi-square quantile, as scipy.stats.chi2.ppf computes it.
-    threshold = 2.0 * float(gammaincinv(dof / 2, quantile)) if dof >= 1 else 0.0
+    threshold = 2.0 * float(gammaincinv(dof / 2, _VERDICT_QUANTILE)) if dof >= 1 else 0.0
     passed = statistic <= threshold if dof >= 1 else np.isfinite(statistic)
     return ChiSquareResult(float(statistic), dof, threshold, bool(passed))
 
@@ -287,22 +291,41 @@ class ConvergenceReport:
             raise OracleMismatchError("empirical frequencies must sum to 1")
 
 
-def _band_report(
-    labels,
-    counts: np.ndarray,
-    oracle_blocks: np.ndarray,
-    sigma: np.ndarray,
-    sigma_model: str,
-    tolerance_sigmas: float,
-    trials: int,
-    chi: ChiSquareResult,
-    meta: dict,
+def _run_jobs(state, observable, jobs, source, workers) -> tuple[np.ndarray, np.ndarray]:
+    """The Born block weights, and block counts per ``(job id, model, trials)``.
+
+    One prepared measurement serves every job.  ``jobs`` may be a generator,
+    so that a job's membrane is built only when the job runs.
+    """
+    plan = prepare_measurement(state, observable)
+    rows = [observable.block_sums(sample_elementary_outcomes(
+        state, observable, model, trials, source, job, workers, plan=plan
+    )) for job, model, trials in jobs]
+    return observable.block_sums(plan.born), np.array(rows, dtype=np.int64)
+
+
+def _verdict(
+    observable, counts, oracle_blocks, tolerance_sigmas, meta, between_membranes=None
 ) -> ConvergenceReport:
-    freq = counts / counts.sum()
+    """Sigma bands and a goodness-of-fit check of ``counts`` against the oracle.
+
+    The bands are binomial, and the check is Pearson's chi-square, unless
+    ``between_membranes`` gives the between-membrane standard error and the
+    Hotelling result of random membranes: then each band is the larger of
+    the two scales, and Hotelling decides the fit.
+    """
+    trials = int(counts.sum())
+    sigma = np.sqrt(oracle_blocks * (1 - oracle_blocks) / trials)
+    if between_membranes is None:
+        sigma_model, chi = "binomial", chi_square_check(counts, oracle_blocks)
+    else:
+        se, chi = between_membranes
+        sigma_model, sigma = "between_membrane_se", np.maximum(se, sigma)
+    freq = counts / trials
     dev = np.abs(freq - oracle_blocks)
     bands_ok = bool(np.all(dev <= tolerance_sigmas * sigma + 1e-15))
     return ConvergenceReport(
-        block_labels=tuple(labels),
+        block_labels=tuple(observable.block_labels),
         observed_counts=tuple(int(c) for c in counts),
         empirical_frequencies=freq,
         oracle_probabilities=oracle_blocks,
@@ -324,23 +347,13 @@ def simulate_statistics(
 ) -> ConvergenceReport:
     """Run the configured experiment and compare frequencies to the oracle."""
     state, observable, model = config.resolve()
-    plan = prepare_measurement(state, observable)
-    oracle_blocks = observable.block_sums(plan.born)
-
-    source = RandomSource(config.master_seed)
-    counts = observable.block_sums(sample_elementary_outcomes(
-        state, observable, model, config.trials, source, job, workers, plan=plan
-    ))
-    sigma = np.sqrt(oracle_blocks * (1 - oracle_blocks) / config.trials)
-    chi = chi_square_check(counts, oracle_blocks)
-    return _band_report(
-        observable.block_labels, counts, oracle_blocks, sigma, "binomial",
-        config.tolerance_sigmas, config.trials, chi, meta={},
-    )
+    oracle_blocks, rows = _run_jobs(state, observable, [(job, model, config.trials)],
+                                    RandomSource(config.master_seed), workers)
+    return _verdict(observable, rows[0], oracle_blocks, config.tolerance_sigmas, {})
 
 
 def _hotelling_check(
-    membrane_freqs: np.ndarray, oracle_blocks: np.ndarray, quantile: float = 0.999
+    membrane_freqs: np.ndarray, oracle_blocks: np.ndarray
 ) -> ChiSquareResult:
     """Hotelling T^2 of the per-membrane frequency vectors against the oracle.
 
@@ -364,13 +377,21 @@ def _hotelling_check(
             from scipy.special import fdtri
 
             # The F quantile, as scipy.stats.f.ppf computes it.
-            threshold = scale * float(fdtri(p, k - p, quantile))
+            threshold = scale * float(fdtri(p, k - p, _VERDICT_QUANTILE))
             return ChiSquareResult(t2, p, threshold, bool(t2 <= threshold))
     # One block leaves no frequency free to test, too few membranes cannot
     # estimate the covariance, and a deviation outside its range lies along a
     # direction in which the membrane frequencies never varied (few trials per
     # membrane), which T^2 cannot weigh: the sigma bands decide instead.
     return ChiSquareResult(0.0, 0, 0.0, True)
+
+
+def _random_membranes(source, cell_count, membranes, trials):
+    """Jobs on membranes whose cell weights are uniform on the probability simplex."""
+    for i in range(membranes):
+        e = source.membrane_stream(i).standard_exponential(cell_count)
+        e /= e.sum()  # normalized unit-rate exponentials
+        yield i, MembraneModel.cellular(e), trials
 
 
 def universal_average_experiment(
@@ -410,52 +431,31 @@ def universal_average_experiment(
             f"fixed_cell_weights has {len(fixed_cell_weights)} entries "
             f"for {cell_count} cells"
         )
+    # One membrane for the whole run, whose lookup table a long enough draw
+    # builds once; built first, so that one cell cannot hide bad weights.
+    fixed = (None if fixed_cell_weights is None
+             else MembraneModel.cellular(np.asarray(fixed_cell_weights, dtype=float)))
 
     state_op = resolve_state_spec(state, dimension)
     observable_op = resolve_observable_spec(observable, dimension)
-    plan = prepare_measurement(state_op, observable_op)
-    oracle_blocks = observable_op.block_sums(plan.born)
-
     source = RandomSource(master_seed)
     k, n = membrane_samples, trials_per_membrane
-    total = k * n
-    random_weights = cell_count > 1 and fixed_cell_weights is None
-
     if cell_count == 1:
         # Single full-simplex cell: every membrane is the uniform one.  Run a
         # single uniform job so the result is draw-for-draw identical to the
         # plain uniform-membrane experiment with k*n trials.
-        counts = observable_op.block_sums(sample_elementary_outcomes(
-            state_op, observable_op, MembraneModel.uniform(), total, source,
-            job=0, workers=workers, plan=plan,
-        ))
+        jobs = [(0, MembraneModel.uniform(), k * n)]
+    elif fixed is not None:
+        jobs = [(i, fixed, n) for i in range(k)]
     else:
-        counts_matrix = np.empty((k, len(oracle_blocks)), dtype=np.int64)
-        if not random_weights:
-            # One membrane for the whole run, whose lookup table a long
-            # enough draw builds once.
-            model = MembraneModel.cellular(np.asarray(fixed_cell_weights, dtype=float))
-        for i in range(k):
-            if random_weights:
-                e = source.membrane_stream(i).standard_exponential(cell_count)
-                model = MembraneModel.cellular(e / e.sum())
-            counts_matrix[i] = observable_op.block_sums(sample_elementary_outcomes(
-                state_op, observable_op, model, n, source,
-                job=i, workers=workers, plan=plan,
-            ))
-        counts = counts_matrix.sum(axis=0)
-    binomial_sigma = np.sqrt(oracle_blocks * (1 - oracle_blocks) / total)
+        jobs = _random_membranes(source, cell_count, k, n)
+    oracle_blocks, rows = _run_jobs(state_op, observable_op, jobs, source, workers)
 
-    if random_weights and k >= 2:
-        membrane_freqs = counts_matrix / n
+    between_membranes = None
+    if cell_count > 1 and fixed is None and k >= 2:
+        membrane_freqs = rows / n
         se = np.std(membrane_freqs, axis=0, ddof=1) / np.sqrt(k)
-        sigma = np.maximum(se, binomial_sigma)
-        chi = _hotelling_check(membrane_freqs, oracle_blocks)
-        sigma_model = "between_membrane_se"
-    else:
-        sigma = binomial_sigma
-        chi = chi_square_check(counts, oracle_blocks)
-        sigma_model = "binomial"
+        between_membranes = se, _hotelling_check(membrane_freqs, oracle_blocks)
 
     meta = {
         "cells": cell_count,
@@ -463,9 +463,9 @@ def universal_average_experiment(
         "trials_per_membrane": n,
         "fixed_cell_weights": fixed_cell_weights is not None,
     }
-    return _band_report(
-        observable_op.block_labels, counts, oracle_blocks, sigma, sigma_model,
-        tolerance_sigmas, total, chi, meta,
+    return _verdict(
+        observable_op, rows.sum(axis=0), oracle_blocks, tolerance_sigmas, meta,
+        between_membranes,
     )
 
 

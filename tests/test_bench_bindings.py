@@ -9,6 +9,7 @@ tests catch it in the package's own suite.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -111,3 +112,59 @@ def test_sampler_draws_each_chunk_from_one_chunk_stream(monkeypatch, model):
         )
         chunks = -(-trials // chunk)
         assert sorted(calls) == [(2, c) for c in range(chunks)]
+
+
+def _hm_sim_callee(func: ast.expr):
+    """The hm_sim object a worker call reaches through a module alias, or None."""
+    text = ast.unparse(func)
+    for alias, module in WORKER_ALIASES.items():
+        if text.startswith(alias + "."):
+            owner = importlib.import_module(f"hm_sim.{module}")
+            for attr in text[len(alias) + 1:].split("."):
+                owner = getattr(owner, attr)
+            return owner
+    return None
+
+
+def test_every_hm_sim_call_in_the_worker_binds_to_its_signature():
+    # A renamed keyword or a dropped positional parameter would only fail
+    # inside a benchmark run; bind each call's shape here instead.
+    tree = ast.parse((BENCH / "worker.py").read_text(encoding="utf-8"))
+    calls = [(node, _hm_sim_callee(node.func)) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    calls = [(node, fn) for node, fn in calls if fn is not None]
+    bound = {ast.unparse(node.func).rsplit(".", 1)[-1] for node, _ in calls}
+    assert {"simulate_statistics", "universal_average_experiment",
+            "born_identity_max_gap", "ExperimentConfig"} <= bound
+    for node, fn in calls:
+        signature = inspect.signature(fn)
+        assert not any(isinstance(a, ast.Starred) for a in node.args), ast.unparse(node)
+        # A ** argument forwards the keywords of the worker's own callers,
+        # which a static check cannot see: only the named ones are bound.
+        names = [k.arg for k in node.keywords if k.arg is not None]
+        try:
+            signature.bind(*node.args, **dict.fromkeys(names))
+        except TypeError as err:
+            pytest.fail(f"bench/worker.py: {ast.unparse(node)}: {err}")
+
+
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_the_parameter_names_the_spans_read_match_the_harness():
+    tree = ast.parse((BENCH / "spans.py").read_text(encoding="utf-8"))
+    sampler = _function(tree, "_sampler_extra")
+    names = next(ast.literal_eval(node.value) for node in ast.walk(sampler)
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "names")
+    params = list(inspect.signature(harness.sample_elementary_outcomes).parameters)
+    assert params[:7] == list(names)
+
+    membranes = _function(tree, "_membranes_extra")
+    keyword = next(node.left.value for node in ast.walk(membranes)
+                   if isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant))
+    index = next(node.slice.value for node in ast.walk(membranes)
+                 if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "args")
+    params = list(inspect.signature(harness.universal_average_experiment).parameters)
+    assert params[index] == keyword == "membrane_samples"

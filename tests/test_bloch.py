@@ -15,7 +15,6 @@ from hm_sim.bloch import (
     bloch_to_density,
     build_generator_basis,
     density_to_bloch,
-    is_valid_state,
     pure_to_density,
 )
 from hm_sim.errors import DimensionError, InvalidStateError
@@ -112,7 +111,6 @@ def test_maps_never_build_the_generator_tensor(monkeypatch):
     rng = np.random.default_rng(64)
     r = density_to_bloch(random_density(rng, n))
     assert bloch_to_density(r).dimension == n
-    assert is_valid_state(r).valid
     simplex = build_measurement_simplex(canonical_observable(n))
     assert simplex.vertices.shape == (n, n * n - 1)
 
@@ -124,7 +122,7 @@ def test_maximally_mixed_maps_to_center():
 
 
 def test_center_maps_to_maximally_mixed():
-    d = bloch_to_density(BlochVector.center(2))
+    d = bloch_to_density(BlochVector(2, np.zeros(3)))
     np.testing.assert_allclose(d.matrix, np.eye(2) / 2, atol=1e-15)
 
 
@@ -156,16 +154,20 @@ def test_round_trip_on_n2_unit_vectors():
         np.testing.assert_allclose(back.coordinates, r.coordinates, atol=1e-10)
 
 
+def purity(d: DensityOperator) -> float:
+    return float(np.trace(d.matrix @ d.matrix).real)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_purity_criterion(n):
     rng = np.random.default_rng(2000 + n)
     for _ in range(10):
         psi = random_pure(rng, n)
         d = pure_to_density(psi)
-        assert abs(d.purity() - 1.0) <= 1e-10
+        assert abs(purity(d) - 1.0) <= 1e-10
         assert abs(density_to_bloch(d).norm - 1.0) <= 1e-10
     mixed = random_density(rng, n)
-    if abs(mixed.purity() - 1.0) > 1e-6:
+    if abs(purity(mixed) - 1.0) > 1e-6:
         assert density_to_bloch(mixed).norm < 1.0
 
 
@@ -211,24 +213,22 @@ def test_qutrit_generator_axes_leave_the_state_space():
         r = np.zeros(8)
         r[axis] = 1.0
         m = (np.eye(3) + math.sqrt(3) * basis.generators[axis]) / 3.0
-        assert np.linalg.eigvalsh(m)[0] < -1e-6
-        vec = BlochVector(3, r)
-        ok, lo = is_valid_state(vec)
-        assert not ok and lo < -1e-6
+        lo = np.linalg.eigvalsh(m)[0]
+        assert lo < -1e-6
         with pytest.raises(InvalidStateError) as err:
-            bloch_to_density(vec)
+            bloch_to_density(BlochVector(3, r))
         assert err.value.min_eigenvalue == pytest.approx(lo, abs=1e-12)
 
 
-def test_is_valid_state_accepts_convex_combinations():
+def test_bloch_to_density_accepts_convex_combinations():
     rng = np.random.default_rng(99)
     for _ in range(20):
         r1 = density_to_bloch(random_density(rng, 3))
         r2 = density_to_bloch(random_density(rng, 3))
         t = rng.random()
         mix = BlochVector(3, t * r1.coordinates + (1 - t) * r2.coordinates)
-        assert is_valid_state(mix).valid
-    assert is_valid_state(BlochVector.center(3)).valid
+        assert bloch_to_density(mix).dimension == 3
+    assert bloch_to_density(BlochVector(3, np.zeros(8))).dimension == 3
 
 
 def test_pure_to_density_examples():
@@ -245,7 +245,7 @@ def test_pure_state_validation():
         PureState.normalized([0.0, 0.0])
     a = PureState.normalized([1.0, 1.0])
     b = PureState.normalized([1.0j, 1.0j])
-    assert a.equivalent_to(b)
+    assert abs(abs(a.overlap(b)) - 1.0) <= 1e-10  # equal up to a global phase
 
 
 def test_density_validation():

@@ -444,6 +444,8 @@ LITERALS = {"FLOAT_BEYOND_RANGE": "1e400", "INT_OF_5000_DIGITS": "9" * 5000}
         (_ua_config(cells=10**6 + 1), None),
         (_ua_config(membranes=10**5 + 1), None),
         (_ua_config(trials_per_membrane=10**8 + 1), None),
+        (_ua_config(cells=1, fixed_cell_weights=[0.5]), None),
+        (_ua_config(cells=1, fixed_cell_weights=[0.0]), None),
     ],
     ids=["pure-without-re", "basis-without-index", "basis-index-out-of-range",
          "cellular-without-weights", "out-into-missing-dir", "nan-amplitude",
@@ -451,7 +453,7 @@ LITERALS = {"FLOAT_BEYOND_RANGE": "1e400", "INT_OF_5000_DIGITS": "9" * 5000}
          "universal-average-dimension-above-max", "amplitude-beyond-float-range",
          "tolerance-beyond-float-range", "seed-beyond-int-digit-limit",
          "cells-10**12", "membranes-10**12", "cells-above-max", "membranes-above-max",
-         "trials-per-membrane-above-max"],
+         "trials-per-membrane-above-max", "one-cell-weight-below-1", "one-cell-weight-0"],
 )
 def test_schema_valid_bad_inputs_exit_2_without_traceback(tmp_path, capsys, config, out):
     text = json.dumps(config)

@@ -100,7 +100,7 @@ def test_projection_fixes_vertices():
 @pytest.mark.parametrize("n", (2, 3, 4, 7))
 def test_projection_of_center_is_centroid(n):
     s = make_simplex(n)
-    p = project_onto_membrane(BlochVector.center(n), s)
+    p = project_onto_membrane(BlochVector(n, np.zeros(n * n - 1)), s)
     np.testing.assert_allclose(p.coordinates, s.vertices.mean(axis=0), atol=1e-12)
     w = barycentric_coordinates(p, s)
     np.testing.assert_allclose(w, np.full(n, 1.0 / n), atol=1e-12)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import cellular_outcome_law, random_pure
 from hm_sim.bloch import PureState, pure_to_density
 from hm_sim.dynamics import MembraneModel, RandomSource, draw_breaks, prepare_measurement
 from hm_sim.errors import ConfigError, DimensionError
@@ -416,6 +417,45 @@ def test_single_cell_universal_average_equals_uniform_run():
     np.testing.assert_array_equal(grand.sigma, flat.sigma)
     assert grand.chi_square_statistic == flat.chi_square_statistic
     assert grand.sigma_model == flat.sigma_model == "binomial"
+
+
+@pytest.mark.parametrize("n", (2, 3, 8))
+@pytest.mark.parametrize("m", (2, 50))
+def test_cellular_counts_follow_the_exact_cell_law(n, m):
+    # A random membrane's counts fit its exact law and reject Born's, so
+    # the fit can tell a changed draw from the same law.
+    rng = np.random.default_rng(100 * n + m)
+    state = pure_to_density(random_pure(rng, n))
+    observable = canonical_observable(n)
+    u = prepare_measurement(state, observable).u
+    weights = rng.dirichlet(np.ones(m))
+    law = cellular_outcome_law(u, weights)
+    counts = sample_elementary_outcomes(
+        state, observable, MembraneModel.cellular(weights), 200_000, RandomSource(n * m))
+    assert chi_square_check(counts, law).passed
+    assert not chi_square_check(counts, u).passed
+    np.testing.assert_allclose(cellular_outcome_law(u, np.full(m, 1 / m)), u, rtol=0, atol=1e-15)
+
+
+def test_all_weight_on_the_last_cell_gives_the_cell_law_not_born():
+    # The README's expected failure: the last of 50 cells lies beyond
+    # w_0 = u_0 = 0.75, so the break never tears towards vertex 0.
+    report = universal_average_experiment(
+        dimension=2,
+        state={"kind": "bloch", "coordinates": [0.866025403784, 0.0, 0.5]},
+        observable={"kind": "canonical"},
+        cell_count=50,
+        membrane_samples=3,
+        trials_per_membrane=5000,
+        master_seed=SEED,
+        fixed_cell_weights=[0.0] * 49 + [1.0],
+    )
+    u = report.oracle_probabilities
+    np.testing.assert_allclose(u, [0.75, 0.25], atol=1e-12)
+    law = cellular_outcome_law(u, [0.0] * 49 + [1.0])
+    assert law.tolist() == [0.0, 1.0]
+    assert report.empirical_frequencies.tolist() == law.tolist()
+    assert not report.passed
 
 
 def test_universal_average_recovers_born():

@@ -3,7 +3,8 @@
 The CLI promises identical report bytes for a fixed seed and config.  These
 digests pin that promise at test speed for one run of each command, plus
 two fixed-weights universal-average runs, which are expected failures
-(exit 1), a one-cell universal-average run and a die rolled from a face;
+(exit 1), one-cell universal-average runs, random-weight runs on each
+verdict branch and a die rolled from a face;
 the full byte contract is the benchmark's ``bench/golden.json``.
 A change that moves report bytes on purpose re-records these digests
 together with ``golden.json`` and says so in CHANGES.md.
@@ -76,6 +77,15 @@ ONE_CELL = {
     "trials_per_membrane": 5000,
 }
 
+# Random weights on one membrane take the binomial verdict; three membranes
+# of one trial each leave Hotelling too few degrees of freedom, so it
+# defers to the between-membrane sigma bands.
+ONE_RANDOM_MEMBRANE = {**UNIVERSAL_AVERAGE, "membranes": 1, "trials_per_membrane": 2000}
+ONE_TRIAL_MEMBRANES = {**UNIVERSAL_AVERAGE, "membranes": 3, "trials_per_membrane": 1}
+
+# The one cell's weight spelled out: the same uniform job as ONE_CELL.
+ONE_CELL_FULL_WEIGHT = {**ONE_CELL, "fixed_cell_weights": [1.0]}
+
 CASES = {
     "measure": (["measure"], MEASURE,
                 "b043d32b420bae2e06ac5195018d82a1abea4f77331a330af2cc17e7fd59e2a0"),
@@ -94,6 +104,12 @@ CASES = {
                      "a29b09b8451c4894d6d0dd3534c15d4f3df65a3425d454c9472fb2051480da10"),
     "one-cell": (["universal-average"], ONE_CELL,
                  "f8eadc8b52d62d744ca2f59b84d0c1933cdc53d1ef325467c45eba7e27ea983c"),
+    "one-random-membrane": (["universal-average"], ONE_RANDOM_MEMBRANE,
+                            "c48bf0238f10e75a40542b42e71d03e8eb88847e9048920d598edee7ea2b1e44"),
+    "one-trial-membranes": (["universal-average"], ONE_TRIAL_MEMBRANES,
+                            "c9054c189ade94faea4987f54a971f2734c2549446f00c0e18968c8390543649"),
+    "one-cell-full-weight": (["universal-average"], ONE_CELL_FULL_WEIGHT,
+                             "cb5d059da8ee1cdd5f2c3ea30a36662d55b00406a33541ac4c12c5f2febc28c9"),
     "die-on-table": (["die", "--start", "on_table:4", "--rolls", "600"], None,
                      "334ffca39b27f4d152daa634f88271640dccd8f03e33a89aba23142c75243ebd"),
 }
