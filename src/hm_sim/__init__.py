@@ -45,7 +45,6 @@ from .geometry import (
     canonical_observable,
     project_onto_membrane,
     spin_observable,
-    subsimplex_volume_fractions,
 )
 from .harness import (
     ChiSquareResult,
@@ -95,6 +94,5 @@ __all__ = [
     "simulate_statistics",
     "spin_machine_measure",
     "spin_observable",
-    "subsimplex_volume_fractions",
     "universal_average_experiment",
 ]

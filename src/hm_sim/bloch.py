@@ -88,6 +88,8 @@ class DensityOperator:
             raise DimensionError(f"dimension must be >= 2, got {n}")
         if m.shape != (n, n):
             raise DimensionError(f"expected a {n}x{n} matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise InvalidStateError("matrix has a non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > ALGEBRAIC_TOL:
             raise InvalidStateError("matrix is not Hermitian within 1e-12")
         if abs(np.trace(m) - 1.0) > ALGEBRAIC_TOL:
@@ -258,8 +260,8 @@ def bloch_to_density(r: BlochVector) -> DensityOperator:
     """Inverse map, D = (1/N)(I + c_N r . L).
 
     For N >= 3 the ball is not filled with states, so the reconstructed
-    operator may fail positivity; that raises ``InvalidStateError`` carrying
-    the offending minimum eigenvalue.
+    operator may fail positivity.  ``DensityOperator`` makes that check; it
+    raises ``InvalidStateError`` carrying the offending minimum eigenvalue.
     """
     n = r.dimension
     upper, lower, diagonal, c = _layout(n)
@@ -270,14 +272,7 @@ def bloch_to_density(r: BlochVector) -> DensityOperator:
     m.imag[upper], m.imag[lower] = -anti, anti
     m.real[:: n + 1] = r.coordinates[2 * pairs :] @ diagonal
     m = (np.eye(n, dtype=complex) + c * m.reshape(n, n)) / n
-    lo = float(np.linalg.eigvalsh(m)[0])
-    if lo < -EIGEN_TOL:
-        raise InvalidStateError(
-            f"Bloch vector does not correspond to a state "
-            f"(min eigenvalue {lo:.3e})",
-            min_eigenvalue=lo,
-        )
-    return DensityOperator(r.dimension, m)
+    return DensityOperator(n, m)
 
 
 def pure_to_density(psi: PureState) -> DensityOperator:

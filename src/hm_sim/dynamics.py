@@ -100,27 +100,29 @@ class MembraneModel:
     """Breaking-point law of the elastic membrane."""
 
     kind: str
-    cell_count: int = 1
     cell_weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("uniform", "solipsistic", "cellular"):
             raise ConfigError(f"unknown membrane kind {self.kind!r}")
         if self.kind == "cellular":
-            if self.cell_count < 1:
-                raise ConfigError("cellular membrane needs cell_count >= 1")
             w = np.asarray(self.cell_weights, dtype=float)
-            if w.shape != (self.cell_count,):
+            if w.ndim != 1 or w.size == 0:
                 raise ConfigError(
-                    f"need {self.cell_count} cell weights, got shape {w.shape}"
+                    f"cell weights must be a non-empty 1-D array, got shape {w.shape}"
                 )
-            if w.min() < 0.0:
+            if not w.min() >= 0.0:  # negated, so that NaN fails it too
                 raise ConfigError("cell weights must be non-negative")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
+            if not abs(float(w.sum()) - 1.0) <= 1e-12:
                 raise ConfigError(f"cell weights sum to {w.sum()}, expected 1")
             object.__setattr__(self, "cell_weights", _frozen(w))
         elif self.cell_weights is not None:
             raise ConfigError(f"{self.kind} membrane takes no cell weights")
+
+    @property
+    def cell_count(self) -> int:
+        """One cell per weight of a cellular membrane; 1 for the others."""
+        return 1 if self.cell_weights is None else len(self.cell_weights)
 
     @cached_property
     def _cumulative(self) -> np.ndarray:
@@ -142,8 +144,7 @@ class MembraneModel:
 
     @classmethod
     def cellular(cls, cell_weights) -> "MembraneModel":
-        w = np.asarray(cell_weights, dtype=float)
-        return cls("cellular", cell_count=w.shape[0], cell_weights=w)
+        return cls("cellular", cell_weights)
 
 
 # --- cell geometry -----------------------------------------------------------
@@ -317,7 +318,7 @@ def prepare_measurement(
     u = barycentric_coordinates(on_membrane, simplex)
     born = born_probabilities(state, observable)
     gap = float(np.max(np.abs(born - u)))
-    if gap > ORACLE_TOL:
+    if not gap <= ORACLE_TOL:  # a NaN gap fails too
         raise OracleMismatchError(
             f"geometric and Hilbert-space probabilities differ by {gap:.3e}"
         )

@@ -10,7 +10,9 @@ Tr(D P_i).  The same numbers arise as relative volumes of the N
 sub-simplexes cut out by joining the landed point to the vertices, which
 is the breakable-membrane reading: a uniform membrane tears inside
 sub-simplex i with probability equal to its volume fraction, detaching all
-anchors except vertex i.
+anchors except vertex i.  The simulator draws breaks and never needs the
+volumes; the tests compute them by Gram determinants as an oracle for the
+linear solve here.
 """
 
 from __future__ import annotations
@@ -181,10 +183,6 @@ class MeasurementSimplex:
     def from_barycentric(self, weights: np.ndarray) -> np.ndarray:
         return np.asarray(weights, dtype=float) @ self.vertices
 
-    def hull_distance(self, point: np.ndarray) -> float:
-        p = np.asarray(point, dtype=float)
-        return float(np.linalg.norm(p - _affine_projection(p, self.vertices[0], self.frame)))
-
 
 def _orthonormal_frame(vertices: np.ndarray) -> np.ndarray:
     """Deterministic Gram-Schmidt over edge vectors, two passes for stability."""
@@ -278,7 +276,7 @@ def barycentric_coordinates(
     if point.dimension != simplex.dimension:
         raise DimensionError("point and simplex dimensions differ")
     p = point.coordinates
-    dist = simplex.hull_distance(p)
+    dist = float(np.linalg.norm(p - _affine_projection(p, simplex.vertices[0], simplex.frame)))
     if dist > HULL_TOL:
         raise GeometryError(
             f"point lies {dist:.3e} from the membrane's affine hull"
@@ -300,52 +298,6 @@ def born_probabilities(state: DensityOperator, observable: Observable) -> np.nda
         ]
     )
     return _clamped(probs)
-
-
-def _sqrt_gram_volume(points: np.ndarray) -> float:
-    """Gram-determinant volume of conv(points), up to the common factorial.
-
-    In membrane-local coordinates the edge matrix is square, so the square
-    root of det(E E^T) is just |det E|; evaluating it that way keeps the
-    noise floor at machine precision instead of its square root.
-    """
-    edges = points[1:] - points[0]
-    return float(abs(np.linalg.det(edges)))
-
-
-def subsimplex_volume_fractions(
-    on_membrane: BlochVector, simplex: MeasurementSimplex
-) -> np.ndarray:
-    """Volume fraction of each tension-line sub-simplex.
-
-    Sub-simplex i is conv({p} union {n_j : j != i}); its volume divided by
-    the full simplex volume equals barycentric weight i.  Computed through
-    Gram determinants in membrane-local coordinates, it is an independent
-    cross-check of the linear-solve route.
-    """
-    if on_membrane.dimension != simplex.dimension:
-        raise DimensionError("point and simplex dimensions differ")
-    p = on_membrane.coordinates
-    if simplex.hull_distance(p) > HULL_TOL:
-        raise GeometryError("point is not on the membrane")
-    n = simplex.dimension
-    base, frame = simplex.vertices[0], simplex.frame
-    corners = (simplex.vertices - base) @ frame
-    local_p = (p - base) @ frame
-    total = _sqrt_gram_volume(corners)
-    if total < 1e-12:
-        raise GeometryError("degenerate simplex: zero volume")
-    fractions = np.empty(n)
-    for i in range(n):
-        pts = corners.copy()
-        pts[i] = local_p
-        fractions[i] = _sqrt_gram_volume(pts) / total
-    if abs(fractions.sum() - 1.0) > 1e-8:
-        raise GeometryError(
-            f"sub-simplex volumes sum to {fractions.sum():.9f}; "
-            "point lies outside the simplex"
-        )
-    return _clamped(fractions / fractions.sum())
 
 
 def classify_weights(v: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -119,7 +119,7 @@ def resolve_membrane_spec(spec: dict) -> MembraneModel:
     if kind == "solipsistic":
         return MembraneModel.solipsistic()
     if kind == "cellular":
-        return MembraneModel.cellular(np.asarray(spec["weights"], dtype=float))
+        return MembraneModel.cellular(spec["weights"])
     raise ConfigError(f"unknown membrane kind {kind!r}")
 
 
@@ -434,7 +434,7 @@ def universal_average_experiment(
     # One membrane for the whole run, whose lookup table a long enough draw
     # builds once; built first, so that one cell cannot hide bad weights.
     fixed = (None if fixed_cell_weights is None
-             else MembraneModel.cellular(np.asarray(fixed_cell_weights, dtype=float)))
+             else MembraneModel.cellular(fixed_cell_weights))
 
     state_op = resolve_state_spec(state, dimension)
     observable_op = resolve_observable_spec(observable, dimension)

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from hm_sim.bloch import DensityOperator, PureState
+from hm_sim.bloch import BlochVector, DensityOperator, PureState
+from hm_sim.geometry import HULL_TOL, MeasurementSimplex
 
 
 def random_pure(rng: np.random.Generator, n: int) -> PureState:
@@ -50,3 +51,42 @@ def cellular_outcome_law(u, weights) -> np.ndarray:
     law = u * ((1.0 - p0) / (1.0 - u[0]))
     law[0] = p0
     return law
+
+
+def _sqrt_gram_volume(points: np.ndarray) -> float:
+    """Gram-determinant volume of conv(points), up to the common factorial.
+
+    In membrane-local coordinates the edge matrix is square, so the square
+    root of det(E E^T) is just |det E|; evaluating it that way keeps the
+    noise floor at machine precision instead of its square root.
+    """
+    edges = points[1:] - points[0]
+    return float(abs(np.linalg.det(edges)))
+
+
+def subsimplex_volume_fractions(
+    on_membrane: BlochVector, simplex: MeasurementSimplex
+) -> np.ndarray:
+    """Volume fraction of each tension-line sub-simplex.
+
+    Sub-simplex i is conv({p} union {n_j : j != i}); its volume divided by
+    the full simplex volume equals barycentric weight i.  Computed through
+    Gram determinants in membrane-local coordinates, it is an oracle
+    independent of the linear solve in ``barycentric_coordinates``.
+    """
+    assert on_membrane.dimension == simplex.dimension
+    base, frame = simplex.vertices[0], simplex.frame
+    p = on_membrane.coordinates
+    local_p = (p - base) @ frame
+    assert np.linalg.norm(base + frame @ local_p - p) <= HULL_TOL, "not on the membrane"
+    corners = (simplex.vertices - base) @ frame
+    total = _sqrt_gram_volume(corners)
+    fractions = np.empty(simplex.dimension)
+    for i in range(simplex.dimension):
+        pts = corners.copy()
+        pts[i] = local_p
+        fractions[i] = _sqrt_gram_volume(pts) / total
+    # |det| never goes negative, so a point outside the simplex shows as
+    # volumes summing to more than the whole.
+    assert abs(fractions.sum() - 1.0) <= 1e-8, "point lies outside the simplex"
+    return fractions / fractions.sum()

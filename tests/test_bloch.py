@@ -220,6 +220,22 @@ def test_qutrit_generator_axes_leave_the_state_space():
         assert err.value.min_eigenvalue == pytest.approx(lo, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", (2, 8, 64))
+def test_bloch_to_density_runs_one_eigensolve(monkeypatch, n):
+    # The positivity check lives in DensityOperator alone.
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    r = density_to_bloch(random_density(np.random.default_rng(n), n))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert bloch_to_density(r).dimension == n
+    assert calls == [(n, n)]
+
+
 def test_bloch_to_density_accepts_convex_combinations():
     rng = np.random.default_rng(99)
     for _ in range(20):
@@ -257,6 +273,10 @@ def test_density_validation():
         DensityOperator(2, np.diag([1.2, -0.2]))  # negative eigenvalue
     with pytest.raises(DimensionError):
         DensityOperator(3, np.eye(2) / 2)
+    # NaN slips through every comparison, so it needs a check of its own.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            DensityOperator(2, np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_bloch_vector_rejects_points_outside_ball():

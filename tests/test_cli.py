@@ -469,6 +469,21 @@ def test_schema_valid_bad_inputs_exit_2_without_traceback(tmp_path, capsys, conf
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_bloch_vector_outside_the_state_space_exits_2_naming_the_eigenvalue(
+    tmp_path, capsys
+):
+    # A point of the N = 3 ball whose rebuilt matrix has eigenvalue -1/3.
+    state = {"kind": "bloch", "coordinates": [0] * 7 + [1.0]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_measure_config(dimension=3, state=state)))
+    code, out, err = run_cli(capsys, "measure", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: matrix is not positive semidefinite (min eigenvalue -3.333e-01)\n"
+    )
+
+
 def test_config_that_is_not_utf8_exits_2_without_traceback(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_bytes(b'{"experiment": "measure\xff"}')

@@ -1,5 +1,6 @@
 """Membrane sampling, the collapse engine, spin machine and die."""
 
+import dataclasses
 import math
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from helpers import random_density, random_pure
 
+import hm_sim.dynamics
 import hm_sim.geometry
 from hm_sim.bloch import (
     BlochVector,
@@ -81,8 +83,10 @@ def test_random_source_streams_are_reproducible_and_independent():
 
 
 def test_membrane_model_validation():
-    MembraneModel.uniform()
-    MembraneModel.cellular([0.25, 0.75])
+    assert MembraneModel.uniform().cell_count == 1
+    assert MembraneModel.solipsistic().cell_count == 1
+    for w in ([1.0], [0.25, 0.75], np.full(50, 0.02)):
+        assert MembraneModel.cellular(w).cell_count == len(w)
     with pytest.raises(ConfigError):
         MembraneModel("bogus")
     with pytest.raises(ConfigError):
@@ -91,6 +95,11 @@ def test_membrane_model_validation():
         MembraneModel.cellular([-0.1, 1.1])
     with pytest.raises(ConfigError):
         MembraneModel("uniform", cell_weights=np.array([1.0]))
+    for bad in ([], [[0.5, 0.5]], [0.5, math.nan, 0.5], [math.nan], None):
+        with pytest.raises(ConfigError):
+            MembraneModel.cellular(bad)
+    # The cell count is read off the weights, not stored beside them.
+    assert [f.name for f in dataclasses.fields(MembraneModel)] == ["kind", "cell_weights"]
 
 
 def test_uniform_sampling_centers_on_segment_midpoint():
@@ -403,6 +412,16 @@ def test_plan_with_another_observables_simplex_fails_the_oracle(monkeypatch):
     )
     with pytest.raises(OracleMismatchError):
         prepare_measurement(d, spin_observable([1.0, 0.0, 1.0]))
+
+
+def test_a_nan_oracle_fails_the_plan(monkeypatch):
+    # NaN compares false with everything, so a gap test written as
+    # gap > ORACLE_TOL would pass it.
+    monkeypatch.setattr(
+        hm_sim.dynamics, "born_probabilities", lambda state, obs: np.full(2, math.nan)
+    )
+    with pytest.raises(OracleMismatchError):
+        prepare_measurement(DensityOperator.maximally_mixed(2), canonical_observable(2))
 
 
 def test_one_observable_builds_its_simplex_once(monkeypatch):

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_density, random_orthonormal_frame, random_pure
+from helpers import (
+    random_density,
+    random_orthonormal_frame,
+    random_pure,
+    subsimplex_volume_fractions,
+)
 
 from hm_sim.bloch import (
     BlochVector,
@@ -29,7 +34,6 @@ from hm_sim.geometry import (
     project_onto_face,
     project_onto_membrane,
     spin_observable,
-    subsimplex_volume_fractions,
 )
 
 

@@ -2,9 +2,9 @@
 
 The CLI promises identical report bytes for a fixed seed and config.  These
 digests pin that promise at test speed for one run of each command, plus
-two fixed-weights universal-average runs, which are expected failures
-(exit 1), one-cell universal-average runs, random-weight runs on each
-verdict branch and a die rolled from a face;
+a ``measure`` of a Bloch-vector state, two fixed-weights universal-average
+runs, which are expected failures (exit 1), one-cell universal-average
+runs, random-weight runs on each verdict branch and a die rolled from a face;
 the full byte contract is the benchmark's ``bench/golden.json``.
 A change that moves report bytes on purpose re-records these digests
 together with ``golden.json`` and says so in CHANGES.md.
@@ -64,6 +64,17 @@ FIXED_SPREAD = {
     "fixed_cell_weights": [0.1, 0.2, 0.3, 0.4],
 }
 
+# A mixed state given by its Bloch vector, rebuilt into a density matrix
+# before it is measured.
+MEASURE_BLOCH = {
+    "schema_version": "1",
+    "experiment": "measure",
+    "dimension": 3,
+    "state": {"kind": "bloch", "coordinates": [0] * 7 + [-0.5]},
+    "observable": {"kind": "canonical"},
+    "membrane": {"kind": "uniform"},
+}
+
 # One cell: every membrane is the uniform one, run as a single uniform job
 # of 20000 trials over three chunks, with a degenerate block.
 ONE_CELL = {
@@ -89,6 +100,8 @@ ONE_CELL_FULL_WEIGHT = {**ONE_CELL, "fixed_cell_weights": [1.0]}
 CASES = {
     "measure": (["measure"], MEASURE,
                 "b043d32b420bae2e06ac5195018d82a1abea4f77331a330af2cc17e7fd59e2a0"),
+    "measure-bloch": (["measure"], MEASURE_BLOCH,
+                      "316150f7e2b13fc23be79ac832e28c265328feffafc9633d990045fcbb479135"),
     "verify-born": (["verify-born", "--dimension", "3", "--states", "3",
                      "--trials", "2000"], None,
                     "6da95586ed20eee791c6847c0e4d4bc12e06d38f525350814320d146417ac144"),
