@@ -53,7 +53,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorBasis:
     """Ordered traceless Hermitian generators of SU(N), as dense matrices.
 
@@ -74,7 +74,7 @@ class GeneratorBasis:
         object.__setattr__(self, "generators", _frozen(self.generators))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """An N x N Hermitian, unit-trace, positive-semidefinite matrix."""
 
@@ -107,9 +107,9 @@ class DensityOperator:
         return cls(dimension, np.eye(dimension, dtype=complex) / dimension)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """A unit-norm complex amplitude vector; equality is modulo global phase."""
+    """A unit-norm complex amplitude vector; ``abs(overlap)`` compares two modulo phase."""
 
     dimension: int
     amplitudes: np.ndarray
@@ -122,14 +122,16 @@ class PureState:
             raise DimensionError(
                 f"expected {self.dimension} amplitudes, got shape {a.shape}"
             )
-        if abs(np.vdot(a, a).real - 1.0) > ALGEBRAIC_TOL:
+        if not abs(np.vdot(a, a).real - 1.0) <= ALGEBRAIC_TOL:  # NaN fails too
             raise InvalidStateError("amplitudes are not unit norm within 1e-12")
         object.__setattr__(self, "amplitudes", _frozen(a))
 
     @classmethod
     def normalized(cls, amplitudes) -> "PureState":
-        """Build a state from an unnormalized vector; rejects the zero vector."""
+        """Build a state from an unnormalized vector; rejects a zero or non-finite one."""
         a = np.asarray(amplitudes, dtype=complex)
+        if not np.isfinite(a).all():
+            raise InvalidStateError("amplitudes must be finite")
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(a))
         if not np.isfinite(norm):
@@ -151,7 +153,7 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochVector:
     """A point of the closed unit ball in R^(N^2 - 1)."""
 
@@ -168,7 +170,7 @@ class BlochVector:
             )
         with np.errstate(over="ignore"):  # an overflowing norm is just > 1
             norm = np.linalg.norm(c)
-        if norm > 1.0 + EIGEN_TOL:
+        if not norm <= 1.0 + EIGEN_TOL:  # NaN fails too
             raise InvalidStateError(f"norm {norm:.12f} exceeds 1; not a point of the ball")
         object.__setattr__(self, "coordinates", _frozen(c))
 

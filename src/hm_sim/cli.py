@@ -22,17 +22,17 @@ import math
 import os
 import sys
 
-from .bloch import pure_to_density
-from .dynamics import ORACLE_TOL, RandomSource, run_measurement
+from .bloch import BlochVector, DensityOperator, PureState, bloch_to_density, pure_to_density
+from .dynamics import ORACLE_TOL, MembraneModel, RandomSource, run_measurement
 from .errors import ConfigError, HmSimError, ImpossibleOutcomeError, OracleMismatchError
+from .geometry import canonical_observable
 from .harness import (
-    ExperimentConfig,
+    batch_statistics,
     born_identity_max_gap,
     random_pure_state,
     resolve_membrane_spec,
     resolve_observable_spec,
     resolve_state_spec,
-    simulate_statistics,
     universal_average_experiment,
 )
 from .serialize import (
@@ -70,89 +70,60 @@ def _tolerance(cfg: dict) -> float:
     return float(cfg.get("tolerance_sigmas", 4.0))
 
 
-def _spin_machine(cfg: dict, seed: int, workers: int) -> tuple[dict, bool]:
+def _spin_machine(cfg: dict, seed: int, workers: int) -> tuple[dict, list, None]:
     angle = cfg["angle"]
     trials = int(cfg.get("trials", 100000))
-    config = ExperimentConfig(
-        dimension=2,
-        state={"kind": "bloch",
-               "coordinates": [math.sin(angle), 0.0, math.cos(angle)]},
-        observable={"kind": "canonical", "labels": [0.5, -0.5]},
-        membrane={"kind": "uniform"},
-        trials=trials,
-        master_seed=seed,
-        tolerance_sigmas=_tolerance(cfg),
+    state = bloch_to_density(BlochVector(2, [math.sin(angle), 0.0, math.cos(angle)]))
+    report = batch_statistics(
+        state, canonical_observable(2, (0.5, -0.5)), MembraneModel.uniform(), trials,
+        RandomSource(seed), _tolerance(cfg), workers=workers,
     )
-    report = simulate_statistics(config, workers=workers)
-    entry = report_entry("spin-machine", report)
     meta = {
         "angle": angle,
         "trials": trials,
         "closed_form": [math.cos(angle / 2) ** 2, math.sin(angle / 2) ** 2],
     }
-    payload = envelope("spin-machine", seed, report.passed, meta, [entry])
-    return payload, report.passed
+    return meta, [report_entry("spin-machine", report)], None
 
 
-def _verify_born(cfg: dict, seed: int, workers: int) -> tuple[dict, bool]:
+def _verify_born(cfg: dict, seed: int, workers: int) -> tuple[dict, list, None]:
     dim = int(cfg["dimension"])
     states = int(cfg.get("states", 100))
     trials = int(cfg.get("trials", 10000))
 
     source = RandomSource(seed)
-    observable = resolve_observable_spec({"kind": "canonical"}, dim)
+    observable = canonical_observable(dim)
+    model = MembraneModel.uniform()
     entries = []
-    all_pass = True
     for i in range(states):
         psi = random_pure_state(source, i, dim)
-        state_spec = {
-            "kind": "pure",
-            "re": psi.amplitudes.real.tolist(),
-            "im": psi.amplitudes.imag.tolist(),
-        }
         gap = born_identity_max_gap(pure_to_density(psi), observable)
-        config = ExperimentConfig(
-            dimension=dim,
-            state=state_spec,
-            observable={"kind": "canonical"},
-            membrane={"kind": "uniform"},
-            trials=trials,
-            master_seed=seed,
-            tolerance_sigmas=_tolerance(cfg),
-        )
-        report = simulate_statistics(config, job=i, workers=workers)
-        all_pass = all_pass and report.passed
+        # Normalised twice, as the old pure-spec round trip did; a golden re-record drops it.
+        state = pure_to_density(PureState.normalized(psi.amplitudes))
+        report = batch_statistics(state, observable, model, trials, source,
+                                  _tolerance(cfg), job=i, workers=workers)
         entries.append(report_entry(f"state-{i:03d}", report, analytic_max_gap=gap))
     meta = {"dimension": dim, "states": states, "trials": trials,
             "analytic_tolerance": ORACLE_TOL}
-    return envelope("verify-born", seed, all_pass, meta, entries), all_pass
+    return meta, entries, None
 
 
-def _die(cfg: dict, seed: int, workers: int) -> tuple[dict, bool]:
+def _die(cfg: dict, seed: int, workers: int) -> tuple[dict, list, None]:
     rolls = int(cfg.get("rolls", 60000))
     start = cfg.get("start", "off_table")
     if start == "off_table":
-        state_spec = {"kind": "preset", "name": "maximally_mixed"}
+        state = DensityOperator.maximally_mixed(6)
     else:  # on_table:K, with K in 1..6 by the schema
         face = int(start.split(":", 1)[1])
-        state_spec = {"kind": "preset", "name": "basis", "index": face - 1}
-
-    config = ExperimentConfig(
-        dimension=6,
-        state=state_spec,
-        observable={"kind": "canonical", "labels": [1, 2, 3, 4, 5, 6]},
-        membrane={"kind": "solipsistic"},
-        trials=rolls,
-        master_seed=seed,
-        tolerance_sigmas=_tolerance(cfg),
+        state = pure_to_density(PureState.basis_state(6, face - 1))
+    report = batch_statistics(
+        state, canonical_observable(6, range(1, 7)), MembraneModel.solipsistic(),
+        rolls, RandomSource(seed), _tolerance(cfg), workers=workers,
     )
-    report = simulate_statistics(config, workers=workers)
-    meta = {"rolls": rolls, "start": start}
-    entry = report_entry("die", report)
-    return envelope("die", seed, report.passed, meta, [entry]), report.passed
+    return {"rolls": rolls, "start": start}, [report_entry("die", report)], None
 
 
-def _universal_average(cfg: dict, seed: int, workers: int) -> tuple[dict, bool]:
+def _universal_average(cfg: dict, seed: int, workers: int) -> tuple[dict, list, None]:
     report = universal_average_experiment(
         dimension=int(cfg["dimension"]),
         state=cfg["state"],
@@ -171,12 +142,10 @@ def _universal_average(cfg: dict, seed: int, workers: int) -> tuple[dict, bool]:
         "membranes": int(cfg["membranes"]),
         "trials_per_membrane": int(cfg["trials_per_membrane"]),
     }
-    entry = report_entry("grand-average", report)
-    payload = envelope("universal-average", seed, report.passed, meta, [entry])
-    return payload, report.passed
+    return meta, [report_entry("grand-average", report)], None
 
 
-def _measure(cfg: dict, seed: int, workers: int) -> tuple[dict, bool]:
+def _measure(cfg: dict, seed: int, workers: int) -> tuple[dict, list, dict]:
     dim = int(cfg["dimension"])
     state = resolve_state_spec(cfg["state"], dim)
     observable = resolve_observable_spec(cfg["observable"], dim)
@@ -184,9 +153,7 @@ def _measure(cfg: dict, seed: int, workers: int) -> tuple[dict, bool]:
     _, trace, _ = run_measurement(
         state, observable, membrane, RandomSource(seed).trial_stream(0)
     )
-    meta = {"dimension": dim}
-    payload = envelope("measure", seed, True, meta, [], trace=trace_to_json(trace))
-    return payload, True
+    return {"dimension": dim}, [], trace_to_json(trace)
 
 
 # Each command: its handler, its help line and its inline flags as
@@ -292,8 +259,9 @@ def main(argv=None) -> int:
         if args.command == "measure" and args.format == "csv":
             raise ConfigError("measure emits a collapse trace; only json is supported")
         seed = resolve_seed(args.seed, cfg.get("seed"))
-        payload, passed = _COMMANDS[args.command][0](cfg, seed, args.workers)
-        _emit(payload, args)
+        meta, reports, trace = _COMMANDS[args.command][0](cfg, seed, args.workers)
+        passed = all(r["pass"] for r in reports)
+        _emit(envelope(args.command, seed, passed, meta, reports, trace), args)
     except (OracleMismatchError, ImpossibleOutcomeError) as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3

@@ -95,7 +95,7 @@ class RandomSource:
         return self._stream(_DOMAIN_STATE, index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembraneModel:
     """Breaking-point law of the elastic membrane."""
 
@@ -257,7 +257,7 @@ def draw_breaks(
 # --- the measurement process -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollapseTrace:
     """Full record of a single measurement run.
 
@@ -277,7 +277,7 @@ class CollapseTrace:
     polar_angle: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementPlan:
     """One measurement of a state, prepared once and shared by every trial.
 

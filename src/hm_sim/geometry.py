@@ -41,7 +41,7 @@ CLAMP_TOL = 1e-10      # negative barycentric weight treated as exact zero
 SIMPLEX_TOL = 1e-10    # vertex norm / inner-product / orthogonality checks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """A projective observable: orthonormal eigenstates plus eigenvalue labels.
 
@@ -58,8 +58,8 @@ class Observable:
     eigenstates: tuple[PureState, ...]
     eigenvalue_labels: tuple[float, ...]
     degeneracy_partition: tuple[tuple[int, ...], ...] = field(init=False)
-    block_index: np.ndarray = field(init=False, compare=False)
-    block_labels: tuple[float, ...] = field(init=False, compare=False)
+    block_index: np.ndarray = field(init=False)
+    block_labels: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         n = self.dimension
@@ -131,8 +131,8 @@ def spin_observable(axis) -> Observable:
     if a.shape != (3,):
         raise DimensionError(f"axis must be a 3-vector, got shape {a.shape}")
     norm = float(np.linalg.norm(a))
-    if norm < 1e-12:
-        raise GeometryError("measurement axis must be nonzero")
+    if not 1e-12 <= norm < np.inf:  # NaN fails too
+        raise GeometryError(f"measurement axis needs a finite nonzero norm, got {norm}")
     nx, ny, nz = a / norm
     theta = np.arccos(np.clip(nz, -1.0, 1.0))
     phi = np.arctan2(ny, nx)
@@ -141,7 +141,7 @@ def spin_observable(axis) -> Observable:
     return Observable(2, (PureState(2, up), PureState(2, down)), (0.5, -0.5))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSimplex:
     """The regular (N-1)-simplex of an observable's eigenstate Bloch vectors.
 
@@ -164,12 +164,12 @@ class MeasurementSimplex:
                 f"expected {n} vertices of length {n * n - 1}, got {v.shape}"
             )
         norms = np.linalg.norm(v, axis=1)
-        if np.max(np.abs(norms - 1.0)) > SIMPLEX_TOL:
+        if not np.max(np.abs(norms - 1.0)) <= SIMPLEX_TOL:  # NaN fails too
             raise GeometryError("simplex vertices must be unit vectors")
         gram = v @ v.T
         target = -1.0 / (n - 1)
         off = gram[~np.eye(n, dtype=bool)]
-        if np.max(np.abs(off - target)) > SIMPLEX_TOL:
+        if not np.max(np.abs(off - target)) <= SIMPLEX_TOL:
             raise GeometryError(
                 f"vertex inner products deviate from {target:.6f}; "
                 "not a regular inscribed simplex"

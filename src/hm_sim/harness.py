@@ -128,7 +128,8 @@ class ExperimentConfig:
     """A complete Monte Carlo experiment: state, observable, membrane, trials.
 
     The state/observable/membrane fields hold the JSON-shaped specs used by
-    config files; ``resolve_*`` turns them into domain objects.
+    config files; ``simulate_statistics`` resolves them for library callers
+    and the benchmark, which hold specs.  The CLI resolves its own config.
     """
 
     dimension: int
@@ -144,13 +145,6 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not self.tolerance_sigmas > 0:
             raise ConfigError("tolerance_sigmas must be positive")
-
-    def resolve(self) -> tuple[DensityOperator, Observable, MembraneModel]:
-        return (
-            resolve_state_spec(self.state, self.dimension),
-            resolve_observable_spec(self.observable, self.dimension),
-            resolve_membrane_spec(self.membrane),
-        )
 
 
 # --- vectorized sampling -------------------------------------------------------
@@ -258,7 +252,7 @@ def chi_square_check(observed_counts, expected_probabilities) -> ChiSquareResult
     return ChiSquareResult(float(statistic), dof, threshold, bool(passed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
     """Empirical block frequencies versus the Born oracle.
 
@@ -342,14 +336,31 @@ def _verdict(
     )
 
 
+def batch_statistics(
+    state: DensityOperator, observable: Observable, model: MembraneModel, trials: int,
+    source: RandomSource, tolerance_sigmas: float = 4.0, job: int = 0, workers: int = 1,
+) -> ConvergenceReport:
+    """Run ``trials`` measurements as one batch and compare them to the oracle.
+
+    ``job`` namespaces the batch's streams of ``source``; ``workers`` only
+    changes wall time.
+    """
+    oracle_blocks, rows = _run_jobs(state, observable, [(job, model, trials)],
+                                    source, workers)
+    return _verdict(observable, rows[0], oracle_blocks, tolerance_sigmas, {})
+
+
 def simulate_statistics(
     config: ExperimentConfig, job: int = 0, workers: int = 1
 ) -> ConvergenceReport:
-    """Run the configured experiment and compare frequencies to the oracle."""
-    state, observable, model = config.resolve()
-    oracle_blocks, rows = _run_jobs(state, observable, [(job, model, config.trials)],
-                                    RandomSource(config.master_seed), workers)
-    return _verdict(observable, rows[0], oracle_blocks, config.tolerance_sigmas, {})
+    """The spec-dict form of ``batch_statistics``, for library and benchmark callers."""
+    return batch_statistics(
+        resolve_state_spec(config.state, config.dimension),
+        resolve_observable_spec(config.observable, config.dimension),
+        resolve_membrane_spec(config.membrane),
+        config.trials, RandomSource(config.master_seed), config.tolerance_sigmas,
+        job, workers,
+    )
 
 
 def _hotelling_check(

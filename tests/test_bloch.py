@@ -262,6 +262,12 @@ def test_pure_state_validation():
     a = PureState.normalized([1.0, 1.0])
     b = PureState.normalized([1.0j, 1.0j])
     assert abs(abs(a.overlap(b)) - 1.0) <= 1e-10  # equal up to a global phase
+    # NaN fails every comparison, so the norm check passes only a number.
+    with pytest.raises(InvalidStateError, match="unit norm"):
+        PureState(2, np.array([math.nan, 0.0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidStateError, match="must be finite"):
+            PureState.normalized([bad, 1.0])
 
 
 def test_density_validation():
@@ -282,3 +288,5 @@ def test_density_validation():
 def test_bloch_vector_rejects_points_outside_ball():
     with pytest.raises(InvalidStateError):
         BlochVector(2, np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(InvalidStateError, match="not a point of the ball"):
+        BlochVector(2, np.array([math.nan, 0.0, 0.0]))

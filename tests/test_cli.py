@@ -12,6 +12,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hm_sim.dynamics
+import hm_sim.geometry
+import hm_sim.harness
 from hm_sim.cli import DEFAULT_SEED, main, resolve_seed
 from hm_sim.dynamics import RandomSource
 from hm_sim.errors import OracleMismatchError
@@ -267,6 +269,43 @@ def test_verify_born_reports_analytic_gap(capsys):
     assert len(payload["reports"]) == 3
     for entry in payload["reports"]:
         assert entry["analytic_max_gap"] <= 1e-9
+
+
+def _patch_everywhere(monkeypatch, owner, name, replacement):
+    """Replace ``owner.name`` in every hm_sim module that binds it."""
+    original = getattr(owner, name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "hm_sim" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
+def test_verify_born_builds_one_simplex_for_all_its_states(monkeypatch, capsys):
+    build = hm_sim.geometry.build_measurement_simplex
+    calls = []
+
+    def counting(observable):
+        calls.append(observable)
+        return build(observable)
+
+    _patch_everywhere(monkeypatch, hm_sim.geometry, "build_measurement_simplex", counting)
+    code, _, _ = run_cli(capsys, "verify-born", "--dimension", "3", "--states", "5",
+                         "--trials", "1000")
+    assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("spin-machine", "--angle", "1.0", "--trials", "1000"),
+    ("die", "--rolls", "600"),
+    ("die", "--start", "on_table:4", "--rolls", "600"),
+    ("verify-born", "--dimension", "3", "--states", "2", "--trials", "1000"),
+])
+def test_inline_commands_hand_the_harness_objects_not_specs(monkeypatch, capsys, argv):
+    def refuse(*args):
+        raise AssertionError(f"resolved a spec: {args}")
+
+    for name in ("resolve_state_spec", "resolve_observable_spec"):
+        _patch_everywhere(monkeypatch, hm_sim.harness, name, refuse)
+    assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_universal_average_requires_config(capsys):

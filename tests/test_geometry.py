@@ -25,6 +25,7 @@ from hm_sim.errors import (
     ObservableError,
 )
 from hm_sim.geometry import (
+    MeasurementSimplex,
     Observable,
     barycentric_coordinates,
     born_probabilities,
@@ -346,5 +347,12 @@ def test_spin_observable_vertices_align_with_axis():
         s = build_measurement_simplex(spin_observable(axis))
         np.testing.assert_allclose(s.vertices[0], axis, atol=1e-12)
         np.testing.assert_allclose(s.vertices[1], -axis, atol=1e-12)
-    with pytest.raises(GeometryError):
-        spin_observable([0.0, 0.0, 0.0])
+    for axis in ([0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]):
+        with pytest.raises(GeometryError, match="finite nonzero norm"):
+            spin_observable(axis)
+
+
+def test_simplex_rejects_a_nan_vertex_at_the_norm_check():
+    # NaN fails every comparison, so each check passes only numbers.
+    with pytest.raises(GeometryError, match="unit vectors"):
+        MeasurementSimplex(2, np.array([[math.nan, 0.0, 0.0], [0.0, 0.0, 1.0]]))
