@@ -53,6 +53,23 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit(a: np.ndarray) -> np.ndarray | None:
+    """``a / |a|``, or None when ``a`` is zero or has a non-finite entry.
+
+    Only when |a| overflows or is below 1e-12 is ``a`` divided by max |a_i|
+    first: that division would move the bits of every other vector.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+    if not 1e-12 <= norm < np.inf:  # NaN too
+        scale = np.abs(a).max(initial=0.0)
+        if not 0.0 < scale < np.inf:  # NaN too
+            return None
+        a = a / scale
+        norm = np.linalg.norm(a)
+    return a / norm
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorBasis:
     """Ordered traceless Hermitian generators of SU(N), as dense matrices.
@@ -130,21 +147,16 @@ class PureState:
     def normalized(cls, amplitudes) -> "PureState":
         """Build a state from an unnormalized vector; rejects a zero or non-finite one."""
         a = np.asarray(amplitudes, dtype=complex)
-        if not np.isfinite(a).all():
-            raise InvalidStateError("amplitudes must be finite")
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(a))
-        if not np.isfinite(norm):
-            # |a|^2 overflowed: rescale by max |a_i| first.  Only here, since
-            # the extra division changes the bits of every other state.
-            a = a / np.abs(a).max()
-            norm = float(np.linalg.norm(a))
-        if norm < 1e-12:
-            raise InvalidStateError("cannot normalize the zero vector")
-        return cls(a.shape[0], a / norm)
+        unit = _unit(a)
+        if unit is None:
+            raise InvalidStateError("amplitudes must be finite" if not np.isfinite(a).all()
+                                    else "cannot normalize the zero vector")
+        return cls(a.shape[0], unit)
 
     @classmethod
     def basis_state(cls, dimension: int, index: int) -> "PureState":
+        if not 0 <= index < dimension:
+            raise DimensionError(f"basis index must be 0..{dimension - 1}, got {index}")
         a = np.zeros(dimension, dtype=complex)
         a[index] = 1.0
         return cls(dimension, a)
@@ -161,6 +173,8 @@ class BlochVector:
     coordinates: np.ndarray
 
     def __post_init__(self):
+        if self.dimension < 2:
+            raise DimensionError(f"dimension must be >= 2, got {self.dimension}")
         c = np.asarray(self.coordinates, dtype=float)
         expected = self.dimension**2 - 1
         if c.shape != (expected,):
@@ -214,16 +228,13 @@ def build_generator_basis(dimension: int) -> GeneratorBasis:
 
 
 @lru_cache(maxsize=None)
-def _layout(dimension: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Where the generators of SU(N) read the matrix, and c_N.
 
     Returns the flat indices j N + k and k N + j of the pairs j < k in
     lexicographic order, the (N - 1, N) array whose row l - 1 is the
     diagonal of the l-th diagonal generator, and c_N.
     """
-    n = dimension
-    if n < 2:
-        raise DimensionError(f"dimension must be >= 2, got {n}")
     j, k = np.triu_indices(n, 1)
     l = np.arange(1.0, n)[:, None]
     i = np.arange(n)

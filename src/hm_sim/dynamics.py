@@ -31,6 +31,7 @@ from .bloch import (
     bloch_to_density,
     density_to_bloch,
     _frozen,
+    _unit,
 )
 from .errors import (
     ConfigError,
@@ -40,9 +41,9 @@ from .errors import (
 )
 from .geometry import (
     Observable,
-    _classify,
     barycentric_coordinates,
     born_probabilities,
+    classify_weights,
     project_onto_face,
     project_onto_membrane,
     spin_observable,
@@ -111,8 +112,8 @@ class MembraneModel:
                 raise ConfigError(
                     f"cell weights must be a non-empty 1-D array, got shape {w.shape}"
                 )
-            if not w.min() >= 0.0:  # negated, so that NaN fails it too
-                raise ConfigError("cell weights must be non-negative")
+            if not (w.min() >= 0.0 and w.max() <= 1.0):  # NaN fails too; sum stays finite
+                raise ConfigError("cell weights must lie in [0, 1]")
             if not abs(float(w.sum()) - 1.0) <= 1e-12:
                 raise ConfigError(f"cell weights sum to {w.sum()}, expected 1")
             object.__setattr__(self, "cell_weights", _frozen(w))
@@ -251,7 +252,7 @@ def draw_breaks(
         return rng.integers(0, n, size=count), None
     v = _break_rows(model, rng, np.empty((count, n)) if rows is None else rows)
     first = v[0].copy()
-    return _classify(v, u, v), first
+    return classify_weights(v, u, out=v), first
 
 
 # --- the measurement process -------------------------------------------------
@@ -420,7 +421,6 @@ def spin_machine_measure(
     observable = spin_observable(axis)
     state = bloch_to_density(r)
     label, trace, _ = run_measurement(state, observable, model, rng)
-    unit = np.asarray(axis, dtype=float)
-    unit = unit / np.linalg.norm(unit)
+    unit = _unit(np.asarray(axis, dtype=float))
     return (unit if label > 0 else -unit), trace
 

@@ -28,6 +28,7 @@ from .bloch import (
     PureState,
     _bloch_coordinates,
     _frozen,
+    _unit,
 )
 from .errors import (
     DimensionError,
@@ -130,11 +131,11 @@ def spin_observable(axis) -> Observable:
     a = np.asarray(axis, dtype=float)
     if a.shape != (3,):
         raise DimensionError(f"axis must be a 3-vector, got shape {a.shape}")
-    norm = float(np.linalg.norm(a))
-    if not 1e-12 <= norm < np.inf:  # NaN fails too
-        raise GeometryError(f"measurement axis needs a finite nonzero norm, got {norm}")
-    nx, ny, nz = a / norm
-    theta = np.arccos(np.clip(nz, -1.0, 1.0))
+    unit = _unit(a)
+    if unit is None:
+        raise GeometryError(f"measurement axis needs a finite nonzero norm, got {axis}")
+    nx, ny, nz = unit
+    theta = np.arccos(min(max(nz, -1.0), 1.0))  # np.clip is slower on a scalar
     phi = np.arctan2(ny, nx)
     up = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
     down = np.array([-np.sin(theta / 2), np.exp(1j * phi) * np.cos(theta / 2)])
@@ -174,11 +175,9 @@ class MeasurementSimplex:
                 f"vertex inner products deviate from {target:.6f}; "
                 "not a regular inscribed simplex"
             )
-        frame = _orthonormal_frame(v)
-        if frame.shape[1] != n - 1:
-            raise GeometryError("vertices are not affinely independent")
         object.__setattr__(self, "vertices", _frozen(v))
-        object.__setattr__(self, "frame", _frozen(frame))
+        # The checks above imply N - 1 independent edges, Gram matrix N/(N-1) (I + J).
+        object.__setattr__(self, "frame", _frozen(_orthonormal_frame(v)))
 
     def from_barycentric(self, weights: np.ndarray) -> np.ndarray:
         return np.asarray(weights, dtype=float) @ self.vertices
@@ -300,7 +299,8 @@ def born_probabilities(state: DensityOperator, observable: Observable) -> np.nda
     return _clamped(probs)
 
 
-def classify_weights(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+def classify_weights(v: np.ndarray, u: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Outcome indices of breaking points given as barycentric weights.
 
     ``v`` holds the weights of one breaking point, or one per row; ``u``
@@ -313,13 +313,9 @@ def classify_weights(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     row of ``v`` by a positive factor scales all its ratios alike and leaves
     the argmin unchanged, so a row need not be normalised (in floating point
     only ratios within rounding of a tie could flip); the batch sampler
-    classifies unnormalised rows on this ground.
+    classifies unnormalised rows on this ground.  ``out``, if given,
+    receives the ratios v / u and may be ``v`` itself.
     """
-    return _classify(v, u, None)
-
-
-def _classify(v: np.ndarray, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``classify_weights``, writing the ratios v / u to ``out``, which may be v."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.divide(v, u, out=out)
     # A zero weight of p means the sub-simplex is a measure-zero sliver the

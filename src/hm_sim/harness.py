@@ -85,12 +85,7 @@ def resolve_state_spec(spec: dict, dimension: int) -> DensityOperator:
         if name == "maximally_mixed":
             return DensityOperator.maximally_mixed(dimension)
         if name == "basis":
-            index = int(spec["index"])
-            if not 0 <= index < dimension:
-                raise ConfigError(
-                    f"basis index must be 0..{dimension - 1}, got {index}"
-                )
-            return pure_to_density(PureState.basis_state(dimension, index))
+            return pure_to_density(PureState.basis_state(dimension, int(spec["index"])))
         raise ConfigError(f"unknown state preset {name!r}")
     raise ConfigError(f"unknown state kind {kind!r}")
 
@@ -140,12 +135,6 @@ class ExperimentConfig:
     master_seed: int
     tolerance_sigmas: float = 4.0
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not self.tolerance_sigmas > 0:
-            raise ConfigError("tolerance_sigmas must be positive")
-
 
 # --- vectorized sampling -------------------------------------------------------
 
@@ -171,6 +160,8 @@ def sample_elementary_outcomes(
     measurement of (state, observable) to reuse; without one the sampler
     prepares its own.
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     if plan is None:
         plan = prepare_measurement(state, observable)
     n = len(plan.u)
@@ -308,8 +299,11 @@ def _verdict(
     Hotelling result of random membranes: then each band is the larger of
     the two scales, and Hotelling decides the fit.
     """
+    if not tolerance_sigmas > 0:  # NaN fails too
+        raise ConfigError(f"tolerance_sigmas must be positive, got {tolerance_sigmas}")
     trials = int(counts.sum())
-    sigma = np.sqrt(oracle_blocks * (1 - oracle_blocks) / trials)
+    # A block's Born sum may round to just above 1; p(1 - p) is then 0, not negative.
+    sigma = np.sqrt(np.maximum(oracle_blocks * (1 - oracle_blocks), 0.0) / trials)
     if between_membranes is None:
         sigma_model, chi = "binomial", chi_square_check(counts, oracle_blocks)
     else:
@@ -435,8 +429,6 @@ def universal_average_experiment(
         raise ConfigError("cell_count must be >= 1")
     if membrane_samples < 1:
         raise ConfigError("membrane_samples must be >= 1")
-    if trials_per_membrane < 1:
-        raise ConfigError("trials_per_membrane must be >= 1")
     if fixed_cell_weights is not None and len(fixed_cell_weights) != cell_count:
         raise ConfigError(
             f"fixed_cell_weights has {len(fixed_cell_weights)} entries "

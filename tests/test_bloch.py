@@ -268,6 +268,13 @@ def test_pure_state_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidStateError, match="must be finite"):
             PureState.normalized([bad, 1.0])
+    # A tiny or underflowing norm is rescaled by the largest entry, not rejected.
+    np.testing.assert_array_equal(PureState.normalized([1e-13, 0.0]).amplitudes, [1.0, 0.0])
+    np.testing.assert_allclose(PureState.normalized([1e-200, 1e-200]).amplitudes,
+                               [math.sqrt(0.5)] * 2, rtol=1e-15)
+    for index in (-1, 3):
+        with pytest.raises(DimensionError, match=r"basis index must be 0\.\.2"):
+            PureState.basis_state(3, index)
 
 
 def test_density_validation():
@@ -290,3 +297,9 @@ def test_bloch_vector_rejects_points_outside_ball():
         BlochVector(2, np.array([1.0, 1.0, 1.0]))
     with pytest.raises(InvalidStateError, match="not a point of the ball"):
         BlochVector(2, np.array([math.nan, 0.0, 0.0]))
+
+
+def test_bloch_vector_rejects_dimension_below_2():
+    # As PureState and DensityOperator do, not later in the maps.
+    with pytest.raises(DimensionError, match="dimension must be >= 2"):
+        BlochVector(1, [])

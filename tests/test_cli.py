@@ -485,6 +485,8 @@ LITERALS = {"FLOAT_BEYOND_RANGE": "1e400", "INT_OF_5000_DIGITS": "9" * 5000}
         (_ua_config(trials_per_membrane=10**8 + 1), None),
         (_ua_config(cells=1, fixed_cell_weights=[0.5]), None),
         (_ua_config(cells=1, fixed_cell_weights=[0.0]), None),
+        (_measure_config(membrane={"kind": "cellular",
+                                   "weights": [3e292, 1.7976931348623155e308]}), None),
     ],
     ids=["pure-without-re", "basis-without-index", "basis-index-out-of-range",
          "cellular-without-weights", "out-into-missing-dir", "nan-amplitude",
@@ -492,7 +494,8 @@ LITERALS = {"FLOAT_BEYOND_RANGE": "1e400", "INT_OF_5000_DIGITS": "9" * 5000}
          "universal-average-dimension-above-max", "amplitude-beyond-float-range",
          "tolerance-beyond-float-range", "seed-beyond-int-digit-limit",
          "cells-10**12", "membranes-10**12", "cells-above-max", "membranes-above-max",
-         "trials-per-membrane-above-max", "one-cell-weight-below-1", "one-cell-weight-0"],
+         "trials-per-membrane-above-max", "one-cell-weight-below-1", "one-cell-weight-0",
+         "cell-weights-whose-sum-overflows"],
 )
 def test_schema_valid_bad_inputs_exit_2_without_traceback(tmp_path, capsys, config, out):
     text = json.dumps(config)
@@ -540,6 +543,22 @@ def test_measure_normalizes_amplitudes_whose_squares_overflow(tmp_path, capsys):
         code, out, err = run_cli(capsys, "measure", "--config", str(cfg))
     assert code == 0, err
     assert json.loads(out)["trace"]["initial_state"] == pytest.approx([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("axis, unit", [
+    ([1e200, 1e200, 0.0], [math.sqrt(0.5), math.sqrt(0.5), 0.0]),
+    ([1e-13, 0.0, 0.0], [1.0, 0.0, 0.0]),
+], ids=["squares-overflow", "norm-below-1e-12"])
+def test_measure_takes_a_spin_axis_of_any_finite_nonzero_size(tmp_path, capsys, axis, unit):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_measure_config(
+        state={"kind": "bloch", "coordinates": [0.0, 0.0, 1.0]},
+        observable={"kind": "spin_axis", "axis": axis})))
+    code, out, err = run_cli(capsys, "measure", "--config", str(cfg))
+    assert (code, err) == (0, "")
+    # The state lands at the centre and leaves at the vertex +-unit of the outcome.
+    point = json.loads(out)["trace"]["intermediate_point"]
+    assert [abs(x) for x in point] == pytest.approx(unit, abs=1e-9)
 
 
 def test_fixed_cell_weights_must_match_cells(tmp_path, capsys):
@@ -635,9 +654,21 @@ def _vector(n, element=_number):
     return st.lists(element, min_size=n, max_size=n) | st.lists(element, max_size=n + 2)
 
 
+def _sized_vector(n):
+    """A ``_vector``, or n numbers scaled so far that |a|^2 overflows or nears 0."""
+    scaled = st.builds(lambda xs, scale: [x * scale for x in xs],
+                       st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n),
+                       st.sampled_from([1e200, 1e-200, 1e-13]))
+    return _vector(n) | scaled
+
+
+# Two label values, so that repeated and all-equal labels (degenerate blocks) occur.
+_labels = st.sampled_from([0.5, -0.5])
+
+
 def _states(n):
     return st.one_of(
-        st.fixed_dictionaries({"kind": st.just("pure"), "re": _vector(n)},
+        st.fixed_dictionaries({"kind": st.just("pure"), "re": _sized_vector(n)},
                               optional={"im": _vector(n)}),
         st.fixed_dictionaries({"kind": st.just("bloch"),
                                "coordinates": _vector(n * n - 1)}),
@@ -656,13 +687,13 @@ def _observables(n):
     eigenstate = st.fixed_dictionaries({"re": _vector(n)}, optional={"im": _vector(n)})
     return st.one_of(
         st.fixed_dictionaries({"kind": st.just("canonical")},
-                              optional={"labels": _vector(n)}),
+                              optional={"labels": _vector(n, _labels)}),
         st.fixed_dictionaries({
             "kind": st.just("explicit"),
             "eigenstates": _basis_eigenstates(n) | st.lists(eigenstate, max_size=n + 1),
             "labels": _vector(n),
         }),
-        st.fixed_dictionaries({"kind": st.just("spin_axis"), "axis": _vector(3)})
+        st.fixed_dictionaries({"kind": st.just("spin_axis"), "axis": _sized_vector(3)})
         .filter(lambda spec: len(spec["axis"]) == 3),
     )
 
@@ -731,6 +762,10 @@ _configs = st.one_of(
 # An eigenstate with the wrong number of amplitudes and no `im`.
 @example(config=_ua_config(state=MIXED, observable={
     "kind": "explicit", "eigenstates": [{"re": []}], "labels": []}, cells=1))
+# One block holds every outcome and its Born sum rounds to 1 + 2^-52, so p(1 - p) < 0.
+@example(config=_ua_config(dimension=3, state={"kind": "pure", "re": [0.1, 0.4, 0.2]},
+                           observable={"kind": "canonical", "labels": [1, 1, 1]},
+                           cells=1, membranes=1, trials_per_membrane=100))
 # A solipsistic break on the vertex of a block this state never reaches.
 @example(config=_measure_config(dimension=3, state={"kind": "pure", "re": [1.0, 1.0, 0.0]},
                                 membrane={"kind": "solipsistic"}))

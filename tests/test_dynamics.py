@@ -98,6 +98,9 @@ def test_membrane_model_validation():
     for bad in ([], [[0.5, 0.5]], [0.5, math.nan, 0.5], [math.nan], None):
         with pytest.raises(ConfigError):
             MembraneModel.cellular(bad)
+    # Weights whose sum overflows fail on their range, with no overflow warning.
+    with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+        MembraneModel.cellular([3e292, 1.7976931348623155e308])
     # The cell count is read off the weights, not stored beside them.
     assert [f.name for f in dataclasses.fields(MembraneModel)] == ["kind", "cell_weights"]
 

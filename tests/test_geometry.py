@@ -347,6 +347,11 @@ def test_spin_observable_vertices_align_with_axis():
         s = build_measurement_simplex(spin_observable(axis))
         np.testing.assert_allclose(s.vertices[0], axis, atol=1e-12)
         np.testing.assert_allclose(s.vertices[1], -axis, atol=1e-12)
+    # The squared norm overflows or falls below 1e-12; the direction is still clear.
+    for axis, unit in (([1e200, 1e200, 0.0], [math.sqrt(0.5), math.sqrt(0.5), 0.0]),
+                       ([1e-13, 0.0, 0.0], [1.0, 0.0, 0.0])):
+        s = build_measurement_simplex(spin_observable(axis))
+        np.testing.assert_allclose(s.vertices, [unit, np.negative(unit)], atol=1e-12)
     for axis in ([0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]):
         with pytest.raises(GeometryError, match="finite nonzero norm"):
             spin_observable(axis)

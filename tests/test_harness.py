@@ -15,6 +15,7 @@ from hm_sim.harness import (
     CHUNK_TRIALS,
     ExperimentConfig,
     _hotelling_check,
+    batch_statistics,
     chi_square_check,
     random_pure_state,
     sample_elementary_outcomes,
@@ -527,15 +528,32 @@ def test_scaling_law_slope():
 
 
 def test_config_validation():
+    # The batch checks trials and tolerance, so the config is built unchecked.
     with pytest.raises(ConfigError):
-        ExperimentConfig(2, {"kind": "preset", "name": "maximally_mixed"},
-                         {"kind": "canonical"}, {"kind": "uniform"}, 0, 1)
+        simulate_statistics(
+            ExperimentConfig(2, {"kind": "preset", "name": "maximally_mixed"},
+                             {"kind": "canonical"}, {"kind": "uniform"}, 0, 1)
+        )
     with pytest.raises(ConfigError):
-        ExperimentConfig(2, {"kind": "preset", "name": "maximally_mixed"},
-                         {"kind": "canonical"}, {"kind": "uniform"}, 10, 1,
-                         tolerance_sigmas=0.0)
+        simulate_statistics(
+            ExperimentConfig(2, {"kind": "preset", "name": "maximally_mixed"},
+                             {"kind": "canonical"}, {"kind": "uniform"}, 10, 1,
+                             tolerance_sigmas=0.0)
+        )
     with pytest.raises(ConfigError):
         simulate_statistics(
             ExperimentConfig(2, {"kind": "nope"}, {"kind": "canonical"},
                              {"kind": "uniform"}, 10, 1)
         )
+
+
+@pytest.mark.parametrize("trials, tolerance_sigmas, bad", [
+    (0, 4.0, "trials"), (-5, 4.0, "trials"),
+    (100, 0.0, "tolerance_sigmas"), (100, -1.0, "tolerance_sigmas"),
+])
+def test_batch_statistics_rejects_bad_trials_and_tolerance(trials, tolerance_sigmas, bad):
+    # Warnings are errors here, so a RuntimeWarning before the ConfigError fails too.
+    state = pure_to_density(PureState.normalized([1.0, 1.0]))
+    with pytest.raises(ConfigError, match=bad):
+        batch_statistics(state, canonical_observable(2), MembraneModel.uniform(), trials,
+                         RandomSource(1), tolerance_sigmas)
