@@ -64,6 +64,8 @@ class Observable:
 
     def __post_init__(self):
         n = self.dimension
+        if n < 2:
+            raise DimensionError(f"dimension must be >= 2, got {n}")
         states = tuple(self.eigenstates)
         labels = tuple(float(x) for x in self.eigenvalue_labels)
         if len(states) != n or len(labels) != n:

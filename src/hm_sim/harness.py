@@ -55,6 +55,9 @@ CHUNK_TRIALS = 8192
 # Both fit checks, chi-square and Hotelling T^2, pass below this quantile.
 _VERDICT_QUANTILE = 0.999
 
+# The default sigma band of every verdict.
+TOLERANCE_SIGMAS = 4.0
+
 
 # --- experiment specification -------------------------------------------------
 
@@ -133,7 +136,7 @@ class ExperimentConfig:
     membrane: dict
     trials: int
     master_seed: int
-    tolerance_sigmas: float = 4.0
+    tolerance_sigmas: float = TOLERANCE_SIGMAS
 
 
 # --- vectorized sampling -------------------------------------------------------
@@ -332,7 +335,8 @@ def _verdict(
 
 def batch_statistics(
     state: DensityOperator, observable: Observable, model: MembraneModel, trials: int,
-    source: RandomSource, tolerance_sigmas: float = 4.0, job: int = 0, workers: int = 1,
+    source: RandomSource, tolerance_sigmas: float = TOLERANCE_SIGMAS, job: int = 0,
+    workers: int = 1,
 ) -> ConvergenceReport:
     """Run ``trials`` measurements as one batch and compare them to the oracle.
 
@@ -407,7 +411,7 @@ def universal_average_experiment(
     membrane_samples: int,
     trials_per_membrane: int,
     master_seed: int,
-    tolerance_sigmas: float = 4.0,
+    tolerance_sigmas: float = TOLERANCE_SIGMAS,
     fixed_cell_weights=None,
     workers: int = 1,
 ) -> ConvergenceReport:

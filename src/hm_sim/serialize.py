@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from importlib import resources
 
 import numpy as np
@@ -158,8 +159,21 @@ def validate_report_payload(payload: dict) -> None:
         raise error
 
 
+def _non_finite_field(node, path=()):
+    """The path of the first number that is NaN, infinite or beyond the float range."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return next(filter(None, (_non_finite_field(v, (*path, k)) for k, v in items)), None)
+    if isinstance(node, (int, float)) and not abs(node) <= sys.float_info.max:
+        return "/".join(map(str, path)) or "<root>"
+    return None
+
+
 def validate_config_payload(payload: dict) -> None:
-    """Schema-check a config document; raises ConfigError naming the field."""
+    """Check a config's numbers are finite, then its schema; ConfigError names the field."""
+    path = _non_finite_field(payload)
+    if path is not None:
+        raise ConfigError(f"config field {path}: not a finite number")
     error = schema_error(payload, "config.schema.json")
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
@@ -168,21 +182,9 @@ def validate_config_payload(payload: dict) -> None:
 
 def load_config_file(path: str) -> dict:
     """Parse and schema-validate a JSON config, with line/field diagnostics."""
-
-    def reject_non_finite(text: str):
-        raise ValueError(f"{text} is not a finite number")
-
-    def finite_float(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):  # a literal beyond the float range: 1e400
-            reject_non_finite(text)
-        return value
-
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(
-                handle, parse_float=finite_float, parse_constant=reject_non_finite
-            )
+            payload = json.load(handle)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
@@ -191,7 +193,7 @@ def load_config_file(path: str) -> dict:
             f"column {err.colno}: {err.msg}"
         ) from err
     except ValueError as err:
-        # A non-finite number, an over-long integer or bytes that are not UTF-8.
+        # An integer longer than Python converts, or bytes that are not UTF-8.
         raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

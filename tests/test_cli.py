@@ -16,7 +16,7 @@ import hm_sim.geometry
 import hm_sim.harness
 from hm_sim.cli import DEFAULT_SEED, main, resolve_seed
 from hm_sim.dynamics import RandomSource
-from hm_sim.errors import OracleMismatchError
+from hm_sim.errors import ConfigError, OracleMismatchError
 from hm_sim.harness import random_pure_state
 from hm_sim.serialize import validate_config_payload, validate_report_payload
 
@@ -128,8 +128,6 @@ def test_env_seed_overrides_default_but_not_flag(monkeypatch):
     assert resolve_seed(7, None) == 7
     assert resolve_seed(None, 55) == 55
     monkeypatch.setenv("HM_SIM_SEED", "not-a-number")
-    from hm_sim.errors import ConfigError
-
     with pytest.raises(ConfigError):
         resolve_seed(None, None)
 
@@ -173,6 +171,8 @@ def test_verify_born_dimension_cap(capsys):
 BAD_VALUES = {
     "angle-nan": ("spin-machine", {"angle": math.nan}),
     "angle-inf": ("spin-machine", {"angle": math.inf}),
+    "trials-nan": ("spin-machine", {"angle": 1.0, "trials": math.nan}),
+    "trials-inf": ("spin-machine", {"angle": 1.0, "trials": math.inf}),
     "angle-negative": ("spin-machine", {"angle": -0.1}),
     "trials-0": ("spin-machine", {"angle": 1.0, "trials": 0}),
     "dimension-1": ("verify-born", {"dimension": 1}),
@@ -219,8 +219,13 @@ def test_bad_values_exit_2_inline_and_in_a_config_file(tmp_path, capsys, case):
         ("verify-born", {"dimension": 3, "states": 2, "trials": 500}),
         ("die", {"rolls": 600, "start": "on_table:4"}),
         ("die", {"rolls": 600}),
+        # Integral floats, as the schema's integers admit: `--rolls 600.0`.
+        ("spin-machine", {"angle": 1.0, "trials": 1e3}),
+        ("verify-born", {"dimension": 3.0, "states": 2.0, "trials": 500}),
+        ("die", {"rolls": 600.0}),
     ],
-    ids=["spin-machine", "verify-born", "die-on-table", "die-off-table"],
+    ids=["spin-machine", "verify-born", "die-on-table", "die-off-table",
+         "trials-1000.0", "dimension-3.0", "rolls-600.0"],
 )
 def test_inline_flags_and_config_file_give_identical_bytes(tmp_path, capsys, command, fields):
     code, inline, _ = run_cli(capsys, *_inline_argv(command, fields), "--seed", "5")
@@ -240,6 +245,18 @@ def test_integral_floats_in_a_config_run_as_integers(tmp_path, capsys):
     code, inline, _ = run_cli(capsys, "verify-born", "--dimension", "3", "--states", "1",
                               "--trials", "100", "--seed", "5")
     assert from_file == inline
+
+
+def test_usage_errors_exit_2_with_one_error_line(capsys):
+    for argv in (["die", "--bogus", "1"], [], ["die", "--workers", "x"],
+                 ["die", "--seed", "x"], ["die", "--format", "xml"],
+                 ["spin-machine", "--angle", "abc"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["die", "--help"])
+    assert exit_info.value.code == 0 and "--rolls" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -511,6 +528,51 @@ def test_schema_valid_bad_inputs_exit_2_without_traceback(tmp_path, capsys, conf
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+BIG = 10**400  # an integer JSON holds and a float cannot
+_EXPLICIT_BASIS = [{"re": [1.0, 0.0]}, {"re": [0.0, 1.0]}]
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (_measure_config(state={"kind": "pure", "re": [BIG, 1.0]}), "state/re/0"),
+        (_measure_config(state={"kind": "pure", "re": [1.0, 0.0],
+                                "im": [0.0, -BIG]}), "state/im/1"),
+        (_measure_config(state={"kind": "bloch", "coordinates": [0.0, 0.0, BIG]}),
+         "state/coordinates/2"),
+        (_measure_config(observable={"kind": "spin_axis", "axis": [BIG, 0.0, 0.0]}),
+         "observable/axis/0"),
+        (_measure_config(observable={"kind": "canonical", "labels": [BIG, 0.5]}),
+         "observable/labels/0"),
+        (_measure_config(observable={"kind": "explicit", "eigenstates": _EXPLICIT_BASIS,
+                                     "labels": [0.5, BIG]}), "observable/labels/1"),
+        (_measure_config(observable={"kind": "explicit",
+                                     "eigenstates": [{"re": [BIG, 0.0]}, {"re": [0.0, 1.0]}],
+                                     "labels": [0.5, -0.5]}), "observable/eigenstates/0/re/0"),
+        (_measure_config(membrane={"kind": "cellular", "weights": [BIG]}),
+         "membrane/weights/0"),
+        (_ua_config(cells=2, fixed_cell_weights=[BIG, 0.0]), "fixed_cell_weights/0"),
+        (_ua_config(tolerance_sigmas=BIG), "tolerance_sigmas"),
+        ({"schema_version": "1", "experiment": "spin-machine", "angle": 1.0,
+          "tolerance_sigmas": BIG}, "tolerance_sigmas"),
+        ({"schema_version": "1", "experiment": "verify-born", "dimension": 2,
+          "tolerance_sigmas": BIG}, "tolerance_sigmas"),
+        ({"schema_version": "1", "experiment": "die", "tolerance_sigmas": BIG},
+         "tolerance_sigmas"),
+    ],
+    ids=["re", "im", "coordinates", "axis", "canonical-labels", "explicit-labels",
+         "eigenstate-re", "membrane-weights", "fixed-cell-weights",
+         "universal-average-tolerance", "spin-machine-tolerance", "verify-born-tolerance",
+         "die-tolerance"],
+)
+def test_integers_beyond_the_float_range_exit_2_naming_the_field(tmp_path, capsys, config,
+                                                                 field):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(capsys, config["experiment"], "--config", str(cfg)) == (
+        2, "", f"error: config field {field}: not a finite number\n")
+
+
 def test_bloch_vector_outside_the_state_space_exits_2_naming_the_eigenvalue(
     tmp_path, capsys
 ):
@@ -645,8 +707,17 @@ def test_measure_loads_no_scipy_and_verdicts_no_scipy_stats(tmp_path):
 
 # --- the exit-code contract over schema-valid configs ---------------------------
 
-_number = st.floats(-2.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False)
+_finite = st.floats(-2.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False)
+# One number in 8 is an integer beyond the float range: JSON holds it, a float
+# cannot.  It is drawn on 7, not 0, so that Hypothesis's simplest example stays finite.
+_beyond_float = st.integers(10**309, 10**400) | st.integers(-10**400, -10**309)
+_number = st.integers(0, 7).flatmap(lambda k: _beyond_float if k == 7 else _finite)
 _weight = st.floats(0.0, 2.0) | st.floats(min_value=0.0, allow_infinity=False)
+
+
+def _count(low, high):
+    """An integer, sometimes written as an integral float such as 3.0."""
+    return st.integers(low, high) | st.integers(low, high).map(float)
 
 
 def _vector(n, element=_number):
@@ -674,7 +745,7 @@ def _states(n):
                                "coordinates": _vector(n * n - 1)}),
         st.just({"kind": "preset", "name": "maximally_mixed"}),
         st.fixed_dictionaries({"kind": st.just("preset"), "name": st.just("basis"),
-                               "index": st.integers(0, n + 1)}),
+                               "index": _count(0, n + 1)}),
     )
 
 
@@ -723,29 +794,41 @@ def _experiment(name, required=None, optional=None):
 def _universal_average(n):
     return st.integers(1, 20).flatmap(lambda cells: _experiment(
         "universal-average",
-        {"dimension": st.just(n), "state": _states(n), "observable": _observables(n),
-         "cells": st.just(cells), "membranes": st.integers(1, 20),
-         "trials_per_membrane": st.integers(1, 2000)},
+        {"dimension": _count(n, n), "state": _states(n),
+         "observable": _observables(n), "cells": _count(cells, cells),
+         "membranes": _count(1, 20), "trials_per_membrane": _count(1, 2000)},
         {"fixed_cell_weights": _vector(cells, _weight)},
     ))
 
 
 _configs = st.one_of(
     _experiment("spin-machine", {"angle": st.floats(0.0, 3.14159265359)},
-                {"trials": st.integers(1, 2000)}),
-    _experiment("verify-born", {"dimension": _dimension},
-                {"states": st.integers(1, 3), "trials": st.integers(1, 2000)}),
+                {"trials": _count(1, 2000)}),
+    _experiment("verify-born", {"dimension": _count(2, 4)},
+                {"states": _count(1, 3), "trials": _count(1, 2000)}),
     _experiment("die", None, {
-        "rolls": st.integers(1, 2000),
+        "rolls": _count(1, 2000),
         "start": st.sampled_from(["off_table"] + [f"on_table:{k}" for k in range(1, 7)]),
     }),
     _dimension.flatmap(_universal_average),
     _dimension.flatmap(lambda n: _experiment(
         "measure",
-        {"dimension": st.just(n), "state": _states(n), "observable": _observables(n),
-         "membrane": _membranes},
+        {"dimension": _count(n, n), "state": _states(n),
+         "observable": _observables(n), "membrane": _membranes},
     )),
 )
+
+
+# The commands whose every config field but `tolerance_sigmas` has a flag.
+INLINE_COMMANDS = ("spin-machine", "verify-born", "die")
+
+
+def _beyond_the_float_range(node):
+    if isinstance(node, dict):
+        return any(map(_beyond_the_float_range, node.values()))
+    if isinstance(node, list):
+        return any(map(_beyond_the_float_range, node))
+    return isinstance(node, int) and abs(node) > sys.float_info.max
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -772,7 +855,11 @@ _configs = st.one_of(
 def test_every_schema_valid_config_exits_0_1_or_2_without_traceback(
     tmp_path, capsys, config
 ):
-    validate_config_payload(config)
+    if _beyond_the_float_range(config):
+        with pytest.raises(ConfigError, match="not a finite number"):
+            validate_config_payload(config)
+    else:
+        validate_config_payload(config)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "report.json"
@@ -780,9 +867,19 @@ def test_every_schema_valid_config_exits_0_1_or_2_without_traceback(
     code, _, err = run_cli(capsys, config["experiment"], "--config", str(cfg),
                            "--out", str(out))
     if code in (0, 1):
-        payload = json.loads(out.read_text())
+        report = out.read_text()
+        payload = json.loads(report)
         validate_report_payload(payload)
         assert payload["pass"] is (code == 0)
     else:
         assert code == 2, err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        report = ""
+    # The inline twin of a config that flags can spell runs the same.
+    fields = {k: v for k, v in config.items() if k not in ("schema_version", "experiment")}
+    if config["experiment"] in INLINE_COMMANDS and "tolerance_sigmas" not in fields:
+        seed = fields.pop("seed", None)
+        argv = _inline_argv(config["experiment"], fields)
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        assert run_cli(capsys, *argv)[:2] == (code, report), argv

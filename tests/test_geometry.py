@@ -20,6 +20,7 @@ from hm_sim.bloch import (
     pure_to_density,
 )
 from hm_sim.errors import (
+    DimensionError,
     GeometryError,
     InvalidMembranePointError,
     ObservableError,
@@ -60,6 +61,12 @@ def test_observable_rejects_nonorthogonal_eigenstates():
     s1 = PureState.normalized([1.0, 1.0])
     with pytest.raises(ObservableError):
         Observable(2, (s0, s1), (0.0, 1.0))
+
+
+def test_observable_rejects_dimension_below_2():
+    # Zero eigenstates match zero labels, but such an observable has no simplex.
+    with pytest.raises(DimensionError, match="dimension must be >= 2, got 0"):
+        Observable(0, (), ())
 
 
 def test_n2_simplex_is_antipodal():
