@@ -20,7 +20,7 @@ a single cell holding all the weight is the almost-deterministic limit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -282,21 +282,81 @@ class CollapseTrace:
 class MeasurementPlan:
     """One measurement of a state, prepared once and shared by every trial.
 
-    ``bloch`` is the state point, ``on_membrane`` where it lands on
+    ``bloch`` is the point of ``state``, ``on_membrane`` where it lands on
     ``observable.simplex``, and ``u`` the barycentric weights of the landed
     point, which are the Born probabilities.  ``born`` holds the
     Hilbert-space oracle Tr(D P_i) and ``oracle_gap`` its measured max gap
     to ``u``.  ``at_vertex`` is the index of the eigenstate the state sits
-    on (within VERTEX_TOL), else None.  The plan is read-only and shareable
-    across worker threads; the simplex stays with the observable.
+    on (within VERTEX_TOL), else None.  The plan owns its collapse: each
+    block's face point, Lueders posterior and its point are built on the
+    block's first shot and kept.  The plan is shareable across threads; two
+    that first use a block together may both build it, with equal results.
     """
 
+    state: DensityOperator
+    observable: Observable
     bloch: BlochVector
     on_membrane: BlochVector
     u: np.ndarray
     born: np.ndarray
     at_vertex: int | None
     oracle_gap: float
+    _collapses: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def _polar_angle(self) -> float | None:
+        """Angle between the state and the first vertex axis, for N = 2."""
+        rn = float(np.linalg.norm(self.bloch.coordinates))
+        if rn < 1e-15:
+            return math.pi / 2  # direction undefined at the center
+        cos = np.dot(self.observable.simplex.vertices[0], self.bloch.coordinates) / rn
+        return float(np.arccos(np.clip(cos, -1, 1)))
+
+    def _collapse(self, block: tuple[int, ...]):
+        """(face point, posterior, posterior point) of a block, built on first use."""
+        if block not in self._collapses:
+            face = project_onto_face(self.on_membrane, self.observable.simplex, block)
+            posterior = luders_posterior(self.state, self.observable, block)
+            self._collapses[block] = (face, posterior, density_to_bloch(posterior))
+        return self._collapses[block]
+
+    def measure(
+        self, model: MembraneModel, rng: np.random.Generator
+    ) -> tuple[float, CollapseTrace, DensityOperator]:
+        """One break on the landed point: (outcome label, trace, posterior).
+
+        A state on a vertex yields that eigenstate's outcome with certainty
+        under every membrane model: a measurement of the first kind.
+        """
+        obs, n = self.observable, len(self.u)
+        if self.at_vertex is not None:
+            elementary, weights = self.at_vertex, None
+        else:
+            if model.kind == "solipsistic":
+                # A solipsistic break may land on any vertex; a block the state
+                # cannot reach has no Lueders posterior to collapse to.
+                for blk, p in zip(obs.degeneracy_partition, obs.block_sums(self.born)):
+                    if p <= MIN_BLOCK_PROB:
+                        raise ConfigError(
+                            f"a solipsistic membrane can break into outcome block {blk}, "
+                            "which has probability 0 for this state"
+                        )
+            outcomes, weights = draw_breaks(model, self.u, 1, rng)
+            elementary = int(outcomes[0])
+        break_w = np.eye(n)[elementary] if weights is None else weights
+        block = obs.degeneracy_partition[obs.block_index[elementary]]
+        intermediate, posterior, final = self._collapse(block)
+        trace = CollapseTrace(
+            initial_state=self.bloch,
+            on_membrane_point=self.on_membrane,
+            breaking_point=BlochVector(n, obs.simplex.from_barycentric(break_w)),
+            outcome_block=block,
+            outcome_label=obs.eigenvalue_labels[block[0]],
+            intermediate_point=intermediate,
+            final_state=final,
+            polar_angle=self._polar_angle if n == 2 else None,
+        )
+        return trace.outcome_label, trace, posterior
 
 
 def prepare_measurement(
@@ -325,7 +385,7 @@ def prepare_measurement(
         )
     vertex_dist = np.linalg.norm(simplex.vertices - r.coordinates, axis=1)
     at_vertex = int(np.argmin(vertex_dist)) if vertex_dist.min() <= VERTEX_TOL else None
-    return MeasurementPlan(r, on_membrane, u, born, at_vertex, gap)
+    return MeasurementPlan(state, observable, r, on_membrane, u, born, at_vertex, gap)
 
 
 def luders_posterior(
@@ -344,63 +404,11 @@ def luders_posterior(
 
 
 def run_measurement(
-    state: DensityOperator,
-    observable: Observable,
-    model: MembraneModel,
+    state: DensityOperator, observable: Observable, model: MembraneModel,
     rng: np.random.Generator,
 ) -> tuple[float, CollapseTrace, DensityOperator]:
-    """Execute one full membrane measurement.
-
-    Returns (outcome label, trace, posterior density operator).  A state
-    sitting exactly on a vertex (within 1e-10) yields that eigenstate's
-    outcome with certainty under every membrane model; this is what makes
-    the process a measurement of the first kind.
-    """
-    n = state.dimension
-    plan = prepare_measurement(state, observable)
-    simplex, r = observable.simplex, plan.bloch
-    if plan.at_vertex is not None:
-        elementary, weights = plan.at_vertex, None
-    else:
-        if model.kind == "solipsistic":
-            # A solipsistic break may land on any vertex; a block the state
-            # cannot reach has no Lueders posterior to collapse to.
-            reach = observable.block_sums(plan.born)
-            for blk, p in zip(observable.degeneracy_partition, reach):
-                if p <= MIN_BLOCK_PROB:
-                    raise ConfigError(
-                        f"a solipsistic membrane can break into outcome block {blk}, "
-                        "which has probability 0 for this state"
-                    )
-        outcomes, weights = draw_breaks(model, plan.u, 1, rng)
-        elementary = int(outcomes[0])
-    break_w = np.eye(n)[elementary] if weights is None else weights
-
-    block = observable.degeneracy_partition[observable.block_index[elementary]]
-    intermediate = project_onto_face(plan.on_membrane, simplex, block)
-    posterior = luders_posterior(state, observable, block)
-    final = density_to_bloch(posterior)
-
-    polar = None
-    if n == 2:
-        axis = simplex.vertices[0]
-        rn = float(np.linalg.norm(r.coordinates))
-        if rn < 1e-15:
-            polar = math.pi / 2  # direction undefined at the center
-        else:
-            polar = float(np.arccos(np.clip(np.dot(axis, r.coordinates) / rn, -1, 1)))
-
-    trace = CollapseTrace(
-        initial_state=r,
-        on_membrane_point=plan.on_membrane,
-        breaking_point=BlochVector(n, simplex.from_barycentric(break_w)),
-        outcome_block=block,
-        outcome_label=observable.eigenvalue_labels[block[0]],
-        intermediate_point=intermediate,
-        final_state=final,
-        polar_angle=polar,
-    )
-    return trace.outcome_label, trace, posterior
+    """Measure a state once: ``prepare_measurement`` then ``MeasurementPlan.measure``."""
+    return prepare_measurement(state, observable).measure(model, rng)
 
 
 def spin_machine_measure(

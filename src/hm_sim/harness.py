@@ -161,12 +161,14 @@ def sample_elementary_outcomes(
     integer sums are exact in any order.  No more threads run than chunks
     or CPUs, and a single one needs no pool.  ``plan`` is a prepared
     measurement of (state, observable) to reuse; without one the sampler
-    prepares its own.
+    prepares its own.  A plan of another state or observable raises.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if plan is None:
         plan = prepare_measurement(state, observable)
+    elif plan.state != state or plan.observable != observable:
+        raise ConfigError("the plan was prepared for another state or observable")
     n = len(plan.u)
     if plan.at_vertex is not None:
         # Eigenstate input: that outcome occurs with certainty under every

@@ -300,10 +300,9 @@ def test_degenerate_block_probability_matches_born_sum():
     expected_block = p[0] + p[1]
     trials = 20000
     hits = 0
+    plan = prepare_measurement(d, obs)
     for t in range(trials):
-        label, trace, _ = run_measurement(
-            d, obs, MembraneModel.uniform(), RandomSource(13).trial_stream(t)
-        )
+        label, trace, _ = plan.measure(MembraneModel.uniform(), RandomSource(13).trial_stream(t))
         hits += trace.outcome_block == (0, 1)
     freq = hits / trials
     assert abs(freq - expected_block) <= 4 * math.sqrt(
@@ -342,9 +341,10 @@ def test_solipsistic_outcomes_uniform_for_any_noneigenstate():
         pure_to_density(random_pure(rng_states, 6)),
     ):
         counts = np.zeros(6, int)
+        plan = prepare_measurement(d, obs)
         for t in range(trials):
             stream = RandomSource(15).trial_stream(t)
-            label, trace, _ = run_measurement(d, obs, model, stream)
+            label, trace, _ = plan.measure(model, stream)
             counts[trace.outcome_block[0]] += 1
         freq = counts / trials
         band = 4 * math.sqrt((1 / 6) * (5 / 6) / trials)
@@ -399,11 +399,65 @@ def test_solipsistic_single_shot_rejects_a_state_with_an_unreachable_block():
     # outcome this state never gives; every seed is refused alike.
     obs = canonical_observable(3)
     d = pure_to_density(PureState.normalized([1.0, 1.0, 0.0]))
+    plan = prepare_measurement(d, obs)
     for t in range(12):
         with pytest.raises(ConfigError, match="solipsistic"):
             run_measurement(
                 d, obs, MembraneModel.solipsistic(), RandomSource(7).trial_stream(t)
             )
+        with pytest.raises(ConfigError, match="solipsistic"):
+            plan.measure(MembraneModel.solipsistic(), RandomSource(7).trial_stream(t))
+
+
+MEMBRANES = {
+    "uniform": MembraneModel.uniform(),
+    "cellular": MembraneModel.cellular([0.2, 0.5, 0.3]),
+    "solipsistic": MembraneModel.solipsistic(),
+}
+
+
+@pytest.mark.parametrize("labels", ((1.0, 2.0, 3.0), (1.0, 1.0, 2.0)))
+@pytest.mark.parametrize("kind", sorted(MEMBRANES))
+@pytest.mark.parametrize("at_vertex", (False, True))
+def test_a_shot_on_a_plan_is_the_single_shot(labels, kind, at_vertex):
+    from hm_sim.serialize import dumps_canonical, trace_to_json
+
+    obs = canonical_observable(3, labels)
+    amplitudes = [0.0, 0.0, 1.0] if at_vertex else [0.6, 0.48j, 0.64]
+    d = pure_to_density(PureState.normalized(amplitudes))
+    plan = prepare_measurement(d, obs)
+    assert (plan.at_vertex is not None) == at_vertex
+    model = MEMBRANES[kind]
+    blocks = set()
+    for t in range(40):
+        label, trace, posterior = run_measurement(d, obs, model, RandomSource(5).trial_stream(t))
+        again, shot, shot_posterior = plan.measure(model, RandomSource(5).trial_stream(t))
+        assert again == label
+        assert dumps_canonical(trace_to_json(shot)) == dumps_canonical(trace_to_json(trace))
+        np.testing.assert_array_equal(shot_posterior.matrix, posterior.matrix)
+        blocks.add(trace.outcome_block)
+    assert len(blocks) == (1 if at_vertex else len(obs.degeneracy_partition))
+
+
+def test_a_plan_builds_each_blocks_collapse_once(monkeypatch):
+    calls = {"luders_posterior": [], "project_onto_face": []}
+    for name in calls:
+        original = getattr(hm_sim.dynamics, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name].append(args[2])
+            return _original(*args)
+
+        monkeypatch.setattr(hm_sim.dynamics, name, counting)
+    obs = canonical_observable(6, (1.0, 1.0, 2.0, 2.0, 3.0, 3.0))
+    plan = prepare_measurement(pure_to_density(random_pure(np.random.default_rng(3), 6)), obs)
+    posteriors = {}
+    for t in range(200):
+        _, trace, posterior = plan.measure(MembraneModel.uniform(), RandomSource(6).trial_stream(t))
+        assert posteriors.setdefault(trace.outcome_block, posterior) is posterior
+    assert set(posteriors) == set(obs.degeneracy_partition)
+    for blocks in calls.values():
+        assert sorted(blocks) == sorted(posteriors)
 
 
 def test_plan_with_another_observables_simplex_fails_the_oracle(monkeypatch):
@@ -524,9 +578,10 @@ def test_die_on_table_is_certain():
 def test_die_off_table_uniform_and_first_kind():
     trials = 20000
     counts = np.zeros(6, int)
+    plan = prepare_measurement(_die_state(None), DIE)
     for t in range(trials):
-        face, _ = _roll(None, RandomSource(21).trial_stream(t))
-        counts[face - 1] += 1
+        label, _, _ = plan.measure(MembraneModel.solipsistic(), RandomSource(21).trial_stream(t))
+        counts[int(label) - 1] += 1
     freq = counts / trials
     band = 3 * math.sqrt((1 / 6) * (5 / 6) / trials)
     assert np.all(np.abs(freq - 1 / 6) <= band)

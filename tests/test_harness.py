@@ -275,6 +275,21 @@ def test_sampler_draws_the_outcomes_of_the_normalised_oracle(n):
                 assert got[n // 2] == 0
 
 
+def test_sampler_refuses_a_plan_of_another_state_or_observable():
+    obs = canonical_observable(3)
+    state = pure_to_density(PureState.normalized([1.0, 1.0, 1.0]))
+    other = pure_to_density(PureState.basis_state(3, 0))
+    model = MembraneModel.uniform()
+    foreign = (prepare_measurement(other, obs), prepare_measurement(state, canonical_observable(3)))
+    for plan in foreign:
+        with pytest.raises(ConfigError, match="another state or observable"):
+            sample_elementary_outcomes(state, obs, model, 100, RandomSource(5), plan=plan)
+    counts = sample_elementary_outcomes(
+        state, obs, model, 100, RandomSource(5), plan=prepare_measurement(state, obs)
+    )
+    assert counts.sum() == 100
+
+
 @pytest.mark.parametrize("kind", ("uniform", "cellular", "solipsistic"))
 def test_sampler_memory_does_not_grow_with_trials(kind):
     # Sixteen times the trials may not double the peak: the sampler keeps
