@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -426,9 +426,22 @@ def spin_machine_measure(
     """
     if r.dimension != 2:
         raise DimensionError("spin machine states live on the N=2 Bloch ball")
-    observable = spin_observable(axis)
+    a = np.asarray(axis, dtype=float)
+    observable = _spin_observable_of_bits(a.shape, a.tobytes())
     state = bloch_to_density(r)
     label, trace, _ = run_measurement(state, observable, model, rng)
-    unit = _unit(np.asarray(axis, dtype=float))
+    unit = _unit(a)
     return (unit if label > 0 else -unit), trace
+
+
+@lru_cache(maxsize=16)
+def _spin_observable_of_bits(shape: tuple[int, ...], bits: bytes) -> Observable:
+    """``spin_observable`` of the float64 axis with these bits, built once.
+
+    A repeated axis then reuses its observable and the simplex it caches.
+    The key is the bits, not the values: -0.0 == 0.0 and both hash alike,
+    yet arctan2 keeps the sign of zero, so the two axes' vertices differ.
+    A bad axis raises here on every call, since lru_cache keeps no errors.
+    """
+    return spin_observable(np.frombuffer(bits).reshape(shape))
 

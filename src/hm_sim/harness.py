@@ -55,6 +55,55 @@ CHUNK_TRIALS = 8192
 # Both fit checks, chi-square and Hotelling T^2, pass below this quantile.
 _VERDICT_QUANTILE = 0.999
 
+# The chi-square thresholds 2 * gammaincinv(dof / 2, _VERDICT_QUANTILE) for
+# dof = 1..159, as scipy 1.17.1 computes them and written by repr, so each
+# reads back bit for bit.  dof 159 is the most any command reaches
+# (universal-average at the schema's largest dimension, 160).  Looking the
+# threshold up spares every verdict command the scipy.special import;
+# tests/helpers.py regenerates the table and checks it against scipy.
+_CHI2_THRESHOLDS = (
+    10.827566170662733, 13.815510557964274, 16.26623619623813, 18.46682695290317,
+    20.515005652432873, 22.457744484825323, 24.321886347856854, 26.12448155837614,
+    27.877164871256568, 29.58829844507442, 31.264133620239985, 32.90949040736021,
+    34.52817897487089, 36.12327368039813, 37.69729821835383, 39.252354790768464,
+    40.79021670690253, 42.31239633167996, 43.82019596451753, 45.31474661812586,
+    46.797038041561315, 48.26794229083518, 49.7282324664315, 51.17859777737739,
+    52.619655776172834, 54.05196238857664, 55.47602020574521, 56.892285393353625,
+    58.301173489794905, 59.70306430442994, 61.098306081058126, 62.487219057088474,
+    63.870098522344946, 65.24721746094244, 66.61882884370104, 67.98516762602424,
+    69.3464524962412, 70.70288741150503, 72.0546629519878, 73.40195751899103,
+    74.74493839842374, 76.08376270770002, 77.41857824131394, 78.74952422804303,
+    80.07673201081901, 81.40032565870999, 82.72042251912399, 84.03713371722348,
+    85.35056460859305, 86.66081519040317, 87.96798047562868, 89.27215083430448,
+    90.5734123052986, 91.8718468816601, 93.16753277222854, 94.46054464187807,
+    95.75095383248956, 97.03882856650883, 98.32423413474163, 99.60723306984946,
+    100.8878853068583, 102.16624833184879, 103.44237731987324, 104.71632526304057,
+    105.98814308961282, 107.25787977487072, 108.52558244443486, 109.79129647066172,
+    111.05506556267146, 112.31693185051572, 113.57693596394476, 114.83511710619328,
+    116.09151312316095, 117.34616056833929, 118.59909476379528, 119.85034985750531,
+    121.09995887729859, 122.34795378165676, 123.59436550758484, 124.83922401576478,
+    126.08255833316952, 127.32439659331791, 128.56476607432293, 129.80369323488026,
+    131.04120374833502, 132.27732253494605, 133.51207379246583, 134.7454810251423,
+    135.97756707124026, 137.20835412917324, 138.437863782331, 139.66611702268335,
+    140.8931342732306, 142.11893540936777, 143.34353977923126, 144.56696622308277,
+    145.7892330917839, 147.01035826441762, 148.23035916510173, 149.44925277903886,
+    150.66705566784537, 151.88378398420096, 153.09945348584796, 154.31407954898623,
+    155.5276771810864, 156.740261033153, 157.95184541147285, 159.1624442888655,
+    160.37207131546973, 161.58073982908158, 162.78846286507468, 163.9952531659132,
+    165.2011231902913, 166.40608512190016, 167.61015087785867, 168.81333211680516,
+    170.01564024668554, 171.21708643223513, 172.41768160217916, 173.6174364561601,
+    174.81636147140657, 176.01446690915446, 177.21176282083061, 178.40825905401258,
+    179.60396525816938, 180.79889089020068, 181.9930452197729, 183.18643733447217,
+    184.37907614477075, 185.57097038882497, 186.76212863710677, 187.95255929687283,
+    189.1422706164864, 190.33127068958913, 191.5195674591372, 192.70716872129785,
+    193.89408212922336, 195.0803151966945, 196.26587530165207, 197.45076968960848,
+    198.63500547695546, 199.8185896541588, 201.00152908886196, 202.1838305288837,
+    203.36550060512525, 204.54654583438844, 205.72697262210653, 206.9067872649892,
+    208.08599595359124, 209.26460477480072, 210.44261971425405, 211.62004665867843,
+    212.79689139816605, 213.97315962838022, 215.1488569526981, 216.32398888429128,
+    217.49856084814567, 218.67257818302437, 219.8460461433745,
+)
+
 # The default sigma band of every verdict.
 TOLERANCE_SIGMAS = 4.0
 
@@ -239,11 +288,17 @@ def chi_square_check(observed_counts, expected_probabilities) -> ChiSquareResult
             statistic = float("inf")
 
     dof = max(cells - 1, 0)
-    # Imported here so that `measure` and `import hm_sim` never load scipy.
-    from scipy.special import gammaincinv
+    if dof == 0:
+        threshold = 0.0
+    elif dof <= len(_CHI2_THRESHOLDS):
+        threshold = _CHI2_THRESHOLDS[dof - 1]
+    else:
+        # Only library callers get past the table; imported here so that no
+        # CLI verdict loads scipy for it.
+        from scipy.special import gammaincinv
 
-    # The chi-square quantile, as scipy.stats.chi2.ppf computes it.
-    threshold = 2.0 * float(gammaincinv(dof / 2, _VERDICT_QUANTILE)) if dof >= 1 else 0.0
+        # The chi-square quantile, as scipy.stats.chi2.ppf computes it.
+        threshold = 2.0 * float(gammaincinv(dof / 2, _VERDICT_QUANTILE))
     passed = statistic <= threshold if dof >= 1 else np.isfinite(statistic)
     return ChiSquareResult(float(statistic), dof, threshold, bool(passed))
 
@@ -384,7 +439,8 @@ def _hotelling_check(
         if off_range <= 1e-12 * (1 + np.linalg.norm(diff)):
             t2 = float(k * diff @ pinv @ diff)
             scale = p * (k - 1) / (k - p)
-            # Imported here so that `measure` and `import hm_sim` never load scipy.
+            # Imported here so that only universal-average over random
+            # membranes loads scipy.
             from scipy.special import fdtri
 
             # The F quantile, as scipy.stats.f.ppf computes it.

@@ -90,3 +90,26 @@ def subsimplex_volume_fractions(
     # volumes summing to more than the whole.
     assert abs(fractions.sum() - 1.0) <= 1e-8, "point lies outside the simplex"
     return fractions / fractions.sum()
+
+
+def chi_square_thresholds(max_dof: int) -> tuple[float, ...]:
+    """The 0.999 chi-square quantiles for 1..max_dof degrees of freedom.
+
+    This is the formula ``harness._CHI2_THRESHOLDS`` was generated from, and
+    the one ``chi_square_check`` still evaluates beyond the table.
+    """
+    from scipy.special import gammaincinv
+
+    return tuple(2.0 * float(gammaincinv(dof / 2, 0.999)) for dof in range(1, max_dof + 1))
+
+
+def threshold_table_source(values) -> str:
+    """``values`` as the Python source of a tuple, four floats a line.
+
+    Each float is written by repr, which round-trips it exactly, so the
+    printed table reads back bit for bit; a failing table test prints this
+    text to paste in.
+    """
+    rows = ["    " + " ".join(f"{v!r}," for v in values[i:i + 4])
+            for i in range(0, len(values), 4)]
+    return "(\n" + "\n".join(rows) + "\n)"

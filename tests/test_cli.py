@@ -677,32 +677,46 @@ from hm_sim.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-codes = [main(["measure", "--config", sys.argv[1], "--out", sys.argv[2]])]
-after_measure = scipy_modules()
-codes.append(main(["die", "--rolls", "100", "--out", sys.argv[3]]))
-print(json.dumps({"codes": codes, "measure": after_measure, "die": scipy_modules()}))
+measure, ua, out = sys.argv[1:]
+codes = [
+    main(["measure", "--config", measure, "--out", out]),
+    main(["spin-machine", "--angle", "1.0471975512", "--trials", "1000", "--out", out]),
+    main(["verify-born", "--dimension", "3", "--states", "3", "--trials", "1000",
+          "--out", out]),
+    main(["die", "--rolls", "100", "--out", out]),
+    main(["die", "--start", "on_table:4", "--out", out]),
+]
+before_hotelling = scipy_modules()
+codes.append(main(["universal-average", "--config", ua, "--out", out]))
+print(json.dumps({"codes": codes, "before_hotelling": before_hotelling,
+                  "after_hotelling": scipy_modules()}))
 """
 
 
-def test_measure_loads_no_scipy_and_verdicts_no_scipy_stats(tmp_path):
+def test_only_the_hotelling_verdict_loads_scipy_and_none_loads_scipy_stats(tmp_path):
     # scipy is the largest import; a fresh interpreter shows what each
-    # command pulls in.  Run from the directory holding the imported package,
-    # so that the child tests the same code without an install or PYTHONPATH.
-    cfg = tmp_path / "measure.json"
-    cfg.write_text(json.dumps(_measure_config(
+    # command pulls in.  The chi-square verdicts read a table, so measure,
+    # spin-machine, verify-born and die load no scipy at all; universal-average
+    # over random membranes takes its F quantile from scipy.special.  Run from
+    # the directory holding the imported package, so that the child tests the
+    # same code without an install or PYTHONPATH.
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps(_measure_config(
         dimension=3, state={"kind": "pure", "re": [0.6, 0.8, 0.0]})))
+    ua = tmp_path / "ua.json"
+    ua.write_text(json.dumps(_ua_config(membranes=3)))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(cfg),
-         str(tmp_path / "measure-out.json"), str(tmp_path / "die-out.json")],
+        [sys.executable, "-c", _IMPORT_PROBE, str(measure), str(ua),
+         str(tmp_path / "out.json")],
         capture_output=True, text=True,
         cwd=Path(hm_sim.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert loaded["codes"] == [0, 0]
-    assert loaded["measure"] == []
-    assert "scipy.special" in loaded["die"]
-    assert not [m for m in loaded["die"] if m.startswith("scipy.stats")]
+    assert loaded["codes"] == [0] * 6
+    assert loaded["before_hotelling"] == []
+    assert "scipy.special" in loaded["after_hotelling"]
+    assert not [m for m in loaded["after_hotelling"] if m.startswith("scipy.stats")]
 
 
 # --- the exit-code contract over schema-valid configs ---------------------------

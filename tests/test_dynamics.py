@@ -15,6 +15,7 @@ from hm_sim.bloch import (
     BlochVector,
     DensityOperator,
     PureState,
+    bloch_to_density,
     density_to_bloch,
     pure_to_density,
 )
@@ -31,7 +32,13 @@ from hm_sim.dynamics import (
     run_measurement,
     spin_machine_measure,
 )
-from hm_sim.errors import ConfigError, ImpossibleOutcomeError, OracleMismatchError
+from hm_sim.errors import (
+    ConfigError,
+    DimensionError,
+    GeometryError,
+    ImpossibleOutcomeError,
+    OracleMismatchError,
+)
 from hm_sim.geometry import (
     Observable,
     born_probabilities,
@@ -549,6 +556,55 @@ def test_spin_machine_certain_at_poles():
         np.testing.assert_allclose(outcome, -axis)
     with pytest.raises(Exception):
         spin_machine_measure(up, [0.0, 0.0, 0.0], model, RandomSource(19).trial_stream(0))
+
+
+def test_spin_machine_builds_one_simplex_per_axis(monkeypatch):
+    build = hm_sim.geometry.build_measurement_simplex
+    calls = []
+
+    def counting(observable):
+        calls.append(observable)
+        return build(observable)
+
+    monkeypatch.setattr(hm_sim.geometry, "build_measurement_simplex", counting)
+    hm_sim.dynamics._spin_observable_of_bits.cache_clear()
+    r = BlochVector(2, np.array([0.3, 0.4, 0.5]))
+    for t in range(200):
+        spin_machine_measure(r, [0.2, -0.3, 0.9], MembraneModel.uniform(),
+                             RandomSource(20).trial_stream(t))
+    assert len(calls) == 1
+
+
+def test_spin_machine_keeps_the_sign_of_a_zero_axis_component():
+    from hm_sim.serialize import dumps_canonical, trace_to_json
+
+    # -0.0 == 0.0, but arctan2 keeps the sign of zero, so these two axes
+    # have simplex vertices 2.4e-16 apart and different trace bytes.  The
+    # first axis is measured first, so a cache keyed on values would hand
+    # its observable to the second.
+    r = BlochVector(2, np.array([0.3, 0.4, 0.5]))
+    model = MembraneModel.uniform()
+    for axis in ([-1.0, -0.0, 0.0], [-1.0, 0.0, 0.0]):
+        observable = spin_observable(axis)
+        for t in range(20):
+            outcome, trace = spin_machine_measure(r, axis, model, RandomSource(21).trial_stream(t))
+            label, fresh, _ = run_measurement(
+                bloch_to_density(r), observable, model, RandomSource(21).trial_stream(t))
+            assert dumps_canonical(trace_to_json(trace)) == dumps_canonical(trace_to_json(fresh))
+            assert outcome[0] == (-1.0 if label > 0 else 1.0)
+
+
+@pytest.mark.parametrize("axis, error", [
+    ([0.0, 0.0, 1.0, 0.0], DimensionError),
+    ([[0.0, 0.0, 1.0]], DimensionError),
+    ([0.0, 0.0, 0.0], GeometryError),
+    ([math.nan, 0.0, 1.0], GeometryError),
+])
+def test_spin_machine_rejects_a_bad_axis_on_every_call(axis, error):
+    r = BlochVector(2, np.array([0.0, 0.0, 1.0]))
+    for t in range(2):
+        with pytest.raises(error):
+            spin_machine_measure(r, axis, MembraneModel.uniform(), RandomSource(22).trial_stream(t))
 
 
 # The die: the upper-face observable of six faces, measured by a solipsistic

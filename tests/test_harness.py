@@ -6,12 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import cellular_outcome_law, random_pure
+from helpers import (
+    cellular_outcome_law,
+    chi_square_thresholds,
+    random_pure,
+    threshold_table_source,
+)
 from hm_sim.bloch import PureState, pure_to_density
 from hm_sim.dynamics import MembraneModel, RandomSource, draw_breaks, prepare_measurement
 from hm_sim.errors import ConfigError, DimensionError
 from hm_sim.geometry import born_probabilities, canonical_observable
 from hm_sim.harness import (
+    _CHI2_THRESHOLDS,
     CHUNK_TRIALS,
     ExperimentConfig,
     _hotelling_check,
@@ -383,7 +389,8 @@ def test_chi_square_all_pooled_noise_passes_at_zero_dof():
     assert res.passed
 
 
-@pytest.mark.parametrize("dof", range(1, 8))
+# dof 1..159 read the table; 199 is past it and takes the scipy route.
+@pytest.mark.parametrize("dof", [*range(1, len(_CHI2_THRESHOLDS) + 1), 199])
 def test_chi_square_threshold_is_the_scipy_stats_quantile(dof):
     from scipy import stats
 
@@ -392,6 +399,33 @@ def test_chi_square_threshold_is_the_scipy_stats_quantile(dof):
     res = chi_square_check([100] * cells, np.full(cells, 1 / cells))
     assert res.degrees_of_freedom == dof
     assert res.threshold == stats.chi2.ppf(0.999, dof)
+
+
+def test_chi_square_table_is_the_formula_it_was_generated_from():
+    # The test above checks each entry against scipy.stats.chi2.ppf too.
+    expected = chi_square_thresholds(len(_CHI2_THRESHOLDS))
+    assert _CHI2_THRESHOLDS == expected, (
+        "regenerate harness._CHI2_THRESHOLDS:\n" + threshold_table_source(expected))
+
+
+def test_chi_square_table_reaches_every_cli_dimension():
+    from hm_sim.serialize import load_schema
+
+    def dimension_maxima(node):
+        if isinstance(node, dict):
+            dimension = node.get("properties", {}).get("dimension", {})
+            if "maximum" in dimension:
+                yield dimension["maximum"]
+            for child in node.values():
+                yield from dimension_maxima(child)
+        elif isinstance(node, list):
+            for child in node:
+                yield from dimension_maxima(child)
+
+    # A config of the largest dimension with one cell (or fixed weights) has
+    # dimension - 1 degrees of freedom; past the table the CLI imports scipy.
+    largest = max(dimension_maxima(load_schema("config.schema.json")))
+    assert len(_CHI2_THRESHOLDS) >= largest - 1
 
 
 @pytest.mark.parametrize("p, k", [(1, 200), (2, 200), (5, 12)])
