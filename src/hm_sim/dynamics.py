@@ -52,6 +52,7 @@ from .geometry import (
 VERTEX_TOL = 1e-10      # a state this close to a vertex is that eigenstate
 MIN_BLOCK_PROB = 1e-14  # sampling an outcome below this signals a bug
 ORACLE_TOL = 1e-9       # max gap between the geometric and Born probabilities
+PLAN_CACHE_SIZE = 8     # plans kept: a re-measured state and up to 7 posteriors
 
 # Stream-domain tags keep trial, chunk and membrane draws independent.
 _DOMAIN_TRIAL = 0
@@ -291,6 +292,7 @@ class MeasurementPlan:
     block's face point, Lueders posterior and its point are built on the
     block's first shot and kept.  The plan is shareable across threads; two
     that first use a block together may both build it, with equal results.
+    A repeated (state, observable) pair gets its cached plan back.
     """
 
     state: DensityOperator
@@ -359,6 +361,7 @@ class MeasurementPlan:
         return trace.outcome_label, trace, posterior
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def prepare_measurement(
     state: DensityOperator, observable: Observable
 ) -> MeasurementPlan:
@@ -368,7 +371,9 @@ def prepare_measurement(
     point come from the membrane geometry (projection and a linear solve)
     and are checked once against the Hilbert-space oracle Tr(D P_i); a gap
     above ORACLE_TOL raises OracleMismatchError, since the two routes agree
-    for every state and a correct simplex.
+    for every state and a correct simplex.  The last PLAN_CACHE_SIZE plans
+    are kept per (state, observable) object pair, both read-only, so a
+    repeat gets the plan a new preparation builds; errors are not kept.
     """
     n = state.dimension
     if observable.dimension != n:
@@ -407,7 +412,7 @@ def run_measurement(
     state: DensityOperator, observable: Observable, model: MembraneModel,
     rng: np.random.Generator,
 ) -> tuple[float, CollapseTrace, DensityOperator]:
-    """Measure a state once: ``prepare_measurement`` then ``MeasurementPlan.measure``."""
+    """One shot: the cached ``prepare_measurement`` then ``MeasurementPlan.measure``."""
     return prepare_measurement(state, observable).measure(model, rng)
 
 

@@ -76,12 +76,11 @@ class Observable:
         for s in states:
             if s.dimension != n:
                 raise DimensionError("eigenstate dimension mismatch")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(states[i].overlap(states[j])) > SIMPLEX_TOL:
-                    raise ObservableError(
-                        f"eigenstates {i} and {j} are not orthogonal"
-                    )
+        a = np.array([s.amplitudes for s in states])
+        bad = np.argwhere(np.abs(np.triu(a.conj() @ a.T, 1)) > SIMPLEX_TOL)
+        if len(bad):  # row-major, so the first pair a loop over i < j meets
+            i, j = bad[0]
+            raise ObservableError(f"eigenstates {i} and {j} are not orthogonal")
         blocks: list[list[int]] = []
         seen: dict[float, int] = {}
         for i, lab in enumerate(labels):

@@ -11,14 +11,15 @@ the count of each outcome, added up chunk by chunk, so its memory does not
 grow with the number of trials and its counts are identical regardless of
 execution order or how many workers share the chunks.
 
-An experiment is a list of jobs, each (job id, membrane model, trials),
-run on one prepared measurement of the state: a plain batch is one job, a
-universal average one job per membrane.  The preparation carries two
-probability routes, the Hilbert-space oracle Tr(D P_i) and the membrane
-geometry (barycentric coordinates of the projected state), which must agree
-to 1e-9 or the run aborts.  One verdict then compares the block counts to
-the oracle: binomial sigma bands and Pearson chi-square, or, over random
-membranes, between-membrane bands and Hotelling T^2.
+An experiment is a list of jobs, each (job id, membrane model, trials), run
+on one prepared measurement of the state: a plain batch is one job, a
+universal average one job per membrane; a repeated state object reuses its
+plan from the bounded cache of ``prepare_measurement``.  The preparation
+carries two probability routes, the Hilbert-space oracle Tr(D P_i) and the
+membrane geometry (barycentric coordinates of the projected state), which
+must agree to 1e-9 or the run aborts.  One verdict then compares the block
+counts to the oracle: binomial sigma bands and Pearson chi-square, or, over
+random membranes, between-membrane bands and Hotelling T^2.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .bloch import (
     pure_to_density,
 )
 from .dynamics import (
-    MeasurementPlan,
     MembraneModel,
     RandomSource,
     draw_breaks,
@@ -199,7 +199,6 @@ def sample_elementary_outcomes(
     source: RandomSource,
     job: int = 0,
     workers: int = 1,
-    plan: MeasurementPlan | None = None,
 ) -> np.ndarray:
     """N int64 counts: how often each elementary outcome occurs in ``trials`` runs.
 
@@ -208,16 +207,12 @@ def sample_elementary_outcomes(
     experiment parts sharing one master seed stay independent.  ``workers``
     only affects wall time: worker w counts chunks w, w + workers, ..., and
     integer sums are exact in any order.  No more threads run than chunks
-    or CPUs, and a single one needs no pool.  ``plan`` is a prepared
-    measurement of (state, observable) to reuse; without one the sampler
-    prepares its own.  A plan of another state or observable raises.
+    or CPUs, and a single one needs no pool.  The measurement is
+    ``prepare_measurement``'s, so a repeated state reuses its cached plan.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    if plan is None:
-        plan = prepare_measurement(state, observable)
-    elif plan.state != state or plan.observable != observable:
-        raise ConfigError("the plan was prepared for another state or observable")
+    plan = prepare_measurement(state, observable)
     n = len(plan.u)
     if plan.at_vertex is not None:
         # Eigenstate input: that outcome occurs with certainty under every
@@ -339,12 +334,12 @@ class ConvergenceReport:
 def _run_jobs(state, observable, jobs, source, workers) -> tuple[np.ndarray, np.ndarray]:
     """The Born block weights, and block counts per ``(job id, model, trials)``.
 
-    One prepared measurement serves every job.  ``jobs`` may be a generator,
+    One cached preparation serves every job.  ``jobs`` may be a generator,
     so that a job's membrane is built only when the job runs.
     """
     plan = prepare_measurement(state, observable)
     rows = [observable.block_sums(sample_elementary_outcomes(
-        state, observable, model, trials, source, job, workers, plan=plan
+        state, observable, model, trials, source, job, workers
     )) for job, model, trials in jobs]
     return observable.block_sums(plan.born), np.array(rows, dtype=np.int64)
 

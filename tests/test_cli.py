@@ -38,6 +38,15 @@ def test_spin_machine_pass_and_schema(capsys):
     assert payload["reports"][0]["expected"][0] == pytest.approx(0.75, abs=1e-9)
 
 
+def test_a_command_keeps_no_plan_for_its_report(capsys):
+    # Its plans hold the observable's simplex, so keeping them past the
+    # handler would add the simplex to the report stage's peak memory.
+    code, _, _ = run_cli(capsys, "verify-born", "--dimension", "3", "--states", "2",
+                         "--trials", "100")
+    assert code == 0
+    assert hm_sim.dynamics.prepare_measurement.cache_info().currsize == 0
+
+
 def test_spin_machine_at_zero_angle_is_exact(capsys):
     code, out, _ = run_cli(capsys, "spin-machine", "--angle", "0", "--trials", "5000")
     assert code == 0

@@ -371,10 +371,7 @@ def test_full_pipeline_on_random_eigenbasis():
     obs = Observable(n, states, (1.0, 1.0, 2.0, 3.0, 3.0))
     d = pure_to_density(random_pure(rng, n))
 
-    plan = prepare_measurement(d, obs)
-    counts = sample_elementary_outcomes(
-        d, obs, MembraneModel.uniform(), 100000, RandomSource(41), plan=plan
-    )
+    counts = sample_elementary_outcomes(d, obs, MembraneModel.uniform(), 100000, RandomSource(41))
     born = born_probabilities(d, obs)
     freq = counts / counts.sum()
     band = 4 * np.sqrt(born * (1 - born) / counts.sum())
@@ -437,6 +434,7 @@ def test_a_shot_on_a_plan_is_the_single_shot(labels, kind, at_vertex):
     model = MEMBRANES[kind]
     blocks = set()
     for t in range(40):
+        prepare_measurement.cache_clear()  # so each single shot prepares anew
         label, trace, posterior = run_measurement(d, obs, model, RandomSource(5).trial_stream(t))
         again, shot, shot_posterior = plan.measure(model, RandomSource(5).trial_stream(t))
         assert again == label
@@ -465,6 +463,61 @@ def test_a_plan_builds_each_blocks_collapse_once(monkeypatch):
     assert set(posteriors) == set(obs.degeneracy_partition)
     for blocks in calls.values():
         assert sorted(blocks) == sorted(posteriors)
+
+
+def test_repeated_measurements_prepare_each_state_once(monkeypatch):
+    # A re-measured posterior is the object its block's collapse keeps, so
+    # the pairs prepare the state and one posterior per block, not 2 * 100.
+    project = hm_sim.dynamics.project_onto_membrane
+    calls = []
+
+    def counting(r, simplex):
+        calls.append(r)
+        return project(r, simplex)
+
+    monkeypatch.setattr(hm_sim.dynamics, "project_onto_membrane", counting)
+    obs = canonical_observable(6, (1.0, 1.0, 2.0, 3.0, 3.0, 4.0))
+    d = pure_to_density(random_pure(np.random.default_rng(8), 6))
+    model = MembraneModel.uniform()
+    for t in range(100):
+        label, _, posterior = run_measurement(d, obs, model, RandomSource(10).trial_stream(2 * t))
+        again, _, _ = run_measurement(posterior, obs, model, RandomSource(10).trial_stream(2 * t + 1))
+        assert again == label
+    assert len(calls) <= 1 + len(obs.degeneracy_partition)
+
+
+def test_an_equal_state_gets_its_own_plan_with_the_same_bytes():
+    from hm_sim.serialize import dumps_canonical, trace_to_json
+
+    obs = canonical_observable(3, (1.0, 1.0, 2.0))
+    psi = PureState.normalized([0.6, 0.48j, 0.64])
+    d = pure_to_density(psi)
+    plan = prepare_measurement(d, obs)
+    twin = pure_to_density(psi)
+    np.testing.assert_array_equal(twin.matrix, d.matrix)
+    assert prepare_measurement(twin, obs) is not plan
+    assert prepare_measurement(d, obs) is plan
+    model = MembraneModel.uniform()
+    shots = [plan.measure(model, RandomSource(11).trial_stream(t))[1] for t in range(20)]
+    prepare_measurement.cache_clear()
+    fresh = prepare_measurement(d, obs)
+    assert fresh is not plan
+    for t, shot in enumerate(shots):
+        _, trace, _ = fresh.measure(model, RandomSource(11).trial_stream(t))
+        assert dumps_canonical(trace_to_json(trace)) == dumps_canonical(trace_to_json(shot))
+
+
+def test_the_plan_cache_is_bounded_and_keeps_no_error(monkeypatch):
+    assert prepare_measurement.cache_info().maxsize == hm_sim.dynamics.PLAN_CACHE_SIZE == 8
+    monkeypatch.setattr(
+        hm_sim.dynamics, "born_probabilities", lambda state, obs: np.full(2, math.nan)
+    )
+    d, obs = DensityOperator.maximally_mixed(2), canonical_observable(2)
+    for _ in range(2):
+        with pytest.raises(OracleMismatchError):
+            prepare_measurement(d, obs)
+    monkeypatch.undo()
+    assert prepare_measurement(d, obs).oracle_gap <= 1e-9
 
 
 def test_plan_with_another_observables_simplex_fails_the_oracle(monkeypatch):

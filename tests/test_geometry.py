@@ -59,8 +59,14 @@ def test_observable_partition_from_labels():
 def test_observable_rejects_nonorthogonal_eigenstates():
     s0 = PureState.normalized([1.0, 0.0])
     s1 = PureState.normalized([1.0, 1.0])
-    with pytest.raises(ObservableError):
+    with pytest.raises(ObservableError, match="eigenstates 0 and 1 are not orthogonal"):
         Observable(2, (s0, s1), (0.0, 1.0))
+    # Pairs (0, 3) and (1, 2) overlap; the first in the order i < j is named,
+    # not the first column by column.
+    states = tuple(PureState.normalized(a) for a in (
+        [1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]))
+    with pytest.raises(ObservableError, match="eigenstates 0 and 3 are not orthogonal"):
+        Observable(4, states, (0.0, 1.0, 2.0, 3.0))
 
 
 def test_observable_rejects_dimension_below_2():
