@@ -660,6 +660,65 @@ def test_spin_machine_rejects_a_bad_axis_on_every_call(axis, error):
             spin_machine_measure(r, axis, MembraneModel.uniform(), RandomSource(22).trial_stream(t))
 
 
+def test_spin_machine_rejects_a_state_off_the_n2_ball_on_every_call():
+    r = BlochVector(3, np.zeros(8))
+    for t in range(2):
+        with pytest.raises(DimensionError):
+            spin_machine_measure(r, [0.0, 0.0, 1.0], MembraneModel.uniform(),
+                                 RandomSource(22).trial_stream(t))
+
+
+def test_spin_machine_prepares_once_per_state_and_axis(monkeypatch):
+    project = hm_sim.dynamics.project_onto_membrane
+    calls = []
+
+    def counting(r, simplex):
+        calls.append(r)
+        return project(r, simplex)
+
+    monkeypatch.setattr(hm_sim.dynamics, "project_onto_membrane", counting)
+    hm_sim.dynamics._spin_state_of_bits.cache_clear()
+    hm_sim.dynamics._spin_observable_of_bits.cache_clear()
+    prepare_measurement.cache_clear()
+    coordinates = np.array([0.3, 0.4, 0.5])
+    model = MembraneModel.uniform()
+    r = BlochVector(2, coordinates)
+    for t in range(200):
+        spin_machine_measure(r, [0.2, -0.3, 0.9], model, RandomSource(24).trial_stream(t))
+    twin = BlochVector(2, coordinates.copy())
+    for t in range(20):
+        spin_machine_measure(twin, [0.2, -0.3, 0.9], model, RandomSource(25).trial_stream(t))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("coordinates, at_vertex", [
+    ([-1.0, 0.0, 0.0], True),   # a pole of both axes below
+    ([0.0, 0.0, 0.0], False),   # the centre, polar angle pi/2
+    ([0.3, 0.4, 0.5], False),
+    ([0.3, -0.0, 0.5], False),
+], ids=["pole", "centre", "generic", "signed-zero"])
+def test_a_repeated_spin_shot_is_the_uncached_shot(coordinates, at_vertex):
+    from hm_sim.bloch import _unit
+    from hm_sim.serialize import dumps_canonical, trace_to_json
+
+    r = BlochVector(2, np.array(coordinates))
+    model = MembraneModel.uniform()
+    for axis in ([-1.0, -0.0, 0.0], [-1.0, 0.0, 0.0]):
+        shots = [spin_machine_measure(r, axis, model, RandomSource(23).trial_stream(t))
+                 for t in range(30)]
+        unit = _unit(np.asarray(axis))
+        for t, (outcome, trace) in enumerate(shots):
+            prepare_measurement.cache_clear()
+            state, observable = bloch_to_density(r), spin_observable(axis)
+            assert (prepare_measurement(state, observable).at_vertex is not None) == at_vertex
+            label, fresh, _ = run_measurement(state, observable, model,
+                                              RandomSource(23).trial_stream(t))
+            assert dumps_canonical(trace_to_json(trace)) == dumps_canonical(trace_to_json(fresh))
+            assert outcome.tobytes() == (unit if label > 0 else -unit).tobytes()
+            if not any(coordinates):
+                assert trace.polar_angle == math.pi / 2
+
+
 # The die: the upper-face observable of six faces, measured by a solipsistic
 # membrane.  Off the table (None) the state is the ball centre; on the table
 # showing face k it is vertex k.
