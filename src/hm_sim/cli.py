@@ -18,6 +18,7 @@ never wall-clock time, and worker counts change nothing but wall time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -245,14 +246,21 @@ def _emit(payload: dict, args) -> None:
     else:
         validate_report_payload(payload)
         text = dumps_canonical(payload)
-    if args.out is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+        with (contextlib.nullcontext(sys.stdout) if args.out is None
+              else open(args.out, "w", encoding="utf-8", newline="\n")) as handle:
             handle.write(text)
+            handle.flush()  # so a closed pipe or a full disk fails here
     except OSError as err:
-        raise ConfigError(f"cannot write {args.out}: {err.strerror}") from err
+        if args.out is None:
+            # A failed flush keeps its bytes for the exit flush, whose error would print
+            # a traceback; so stdout's descriptor, if it has one, goes to the null device.
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+        where = "stdout" if args.out is None else args.out
+        raise ConfigError(f"cannot write {where}: {err.strerror}") from err
 
 
 def main(argv=None) -> int:

@@ -314,6 +314,13 @@ class MeasurementPlan:
         cos = np.dot(self.observable.simplex.vertices[0], self.bloch.coordinates) / rn
         return float(np.arccos(np.clip(cos, -1, 1)))
 
+    @cached_property
+    def _unreachable_block(self) -> tuple[int, ...] | None:
+        """The first block of Born weight 0, if any: a solipsistic break can land there."""
+        obs = self.observable
+        sums = zip(obs.degeneracy_partition, obs.block_sums(self.born))
+        return next((blk for blk, p in sums if p <= MIN_BLOCK_PROB), None)
+
     def _collapse(self, block: tuple[int, ...]):
         """(face point, posterior, posterior point) of a block, built on first use."""
         if block not in self._collapses:
@@ -334,15 +341,11 @@ class MeasurementPlan:
         if self.at_vertex is not None:
             elementary, weights = self.at_vertex, None
         else:
-            if model.kind == "solipsistic":
-                # A solipsistic break may land on any vertex; a block the state
-                # cannot reach has no Lueders posterior to collapse to.
-                for blk, p in zip(obs.degeneracy_partition, obs.block_sums(self.born)):
-                    if p <= MIN_BLOCK_PROB:
-                        raise ConfigError(
-                            f"a solipsistic membrane can break into outcome block {blk}, "
-                            "which has probability 0 for this state"
-                        )
+            if model.kind == "solipsistic" and self._unreachable_block is not None:
+                raise ConfigError(  # that block has no Lueders posterior
+                    "a solipsistic membrane can break into outcome block "
+                    f"{self._unreachable_block}, which has probability 0 for this state"
+                )
             outcomes, weights = draw_breaks(model, self.u, 1, rng)
             elementary = int(outcomes[0])
         break_w = np.eye(n)[elementary] if weights is None else weights
@@ -377,7 +380,8 @@ def prepare_measurement(
     The cache bounds the number of plans, not their bytes: at N=160 a plan
     whose collapses have all fired holds 131 MB and pins a 65.7 MB simplex.
     ``prepare_measurement.cache_clear()``, which the CLI calls once a
-    command's handler returns, frees them.
+    command's handler returns, frees them; it leaves the spin machine's
+    own cache of at most 16 N=2 plans be.
     """
     n = state.dimension
     if observable.dimension != n:
@@ -421,50 +425,37 @@ def run_measurement(
 
 
 def spin_machine_measure(
-    r: BlochVector,
-    axis,
-    model: MembraneModel,
-    rng: np.random.Generator,
+    r: BlochVector, axis, model: MembraneModel, rng: np.random.Generator,
 ) -> tuple[np.ndarray, CollapseTrace]:
     """Measure a spin-1/2 state point along a spatial axis.
 
     The elastic is stripped between the axis endpoints n and -n; with the
     uniform model the outcome probabilities are (1 + cos(theta))/2 and
     (1 - cos(theta))/2 for a unit state at polar angle theta.  Returns the
-    outcome as the signed axis vector together with the trace.  The state
-    is built once per Bloch point and the observable once per axis, both
-    keyed on their float64 bits, so a repeated (point, axis) shot gets the
-    cached plan and is one break draw.
+    outcome as the signed axis vector together with the trace.  The plan
+    of each (point, axis) pair is prepared once and kept, keyed on their
+    float64 bits, so a repeated shot is one break draw.
     """
     if r.dimension != 2:
         raise DimensionError("spin machine states live on the N=2 Bloch ball")
     a = np.asarray(axis, dtype=float)
-    observable, unit = _spin_observable_of_bits(a.shape, a.tobytes())
-    state = _spin_state_of_bits(r.coordinates.tobytes())
-    label, trace, _ = run_measurement(state, observable, model, rng)
+    plan, unit = _spin_plan_of_bits(r.coordinates.tobytes(), a.shape, a.tobytes())
+    label, trace, _ = plan.measure(model, rng)
     return (1.0 if label > 0 else -1.0) * unit, trace
 
 
-# Both caches key on float64 bits, not values: -0.0 == 0.0 and both hash
-# alike, yet arctan2 keeps the sign of zero, so the two axes' vertices
-# differ.  Keyed on bits, each entry is what a fresh build from these very
-# bits gives.  Each holds N=2 objects of a few hundred bytes.  A bad input
-# raises on every call, since lru_cache keeps no errors.
-
 @lru_cache(maxsize=16)
-def _spin_observable_of_bits(
-    shape: tuple[int, ...], bits: bytes
-) -> tuple[Observable, np.ndarray]:
-    """``spin_observable`` of the float64 axis with these bits, and its unit axis."""
-    a = np.frombuffer(bits).reshape(shape)
-    return spin_observable(a), _frozen(_unit(a))
+def _spin_plan_of_bits(
+    point_bits: bytes, axis_shape: tuple[int, ...], axis_bits: bytes
+) -> tuple[MeasurementPlan, np.ndarray]:
+    """The plan of the N=2 point and axis with these float64 bits, and the unit axis.
 
-
-@lru_cache(maxsize=16)
-def _spin_state_of_bits(bits: bytes) -> DensityOperator:
-    """The N=2 state of the Bloch point with these float64 coordinate bits.
-
-    One state object per point lets ``prepare_measurement``'s cache, keyed
-    on the object, serve every repeated shot of that point.
+    Keyed on bits, not values: -0.0 == 0.0, yet arctan2 keeps the sign of
+    zero, so the two axes' vertices differ.  Each plan is about 7 kB and
+    bypasses ``prepare_measurement``'s cache, which the state built here
+    could never hit.  A bad axis raises on every call: lru_cache keeps no errors.
     """
-    return bloch_to_density(BlochVector(2, np.frombuffer(bits)))
+    a = np.frombuffer(axis_bits).reshape(axis_shape)
+    observable = spin_observable(a)
+    state = bloch_to_density(BlochVector(2, np.frombuffer(point_bits)))
+    return prepare_measurement.__wrapped__(state, observable), _frozen(_unit(a))

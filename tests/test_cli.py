@@ -1,7 +1,9 @@
 """CLI exit codes, idempotence, manifest rules, env seed handling."""
 
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -677,6 +679,62 @@ def test_internal_invariant_failure_exits_3_without_traceback(
     assert code == 3
     assert out == ""
     assert err == "internal error: routes disagree by 1.0e+00\n"
+
+
+class _FailingStdout:
+    """A stdout whose every write raises ``error``, as a closed pipe or a full disk does."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("error", [
+    BrokenPipeError(errno.EPIPE, "Broken pipe"),
+    OSError(errno.ENOSPC, "No space left on device"),
+], ids=["broken-pipe", "disk-full"])
+def test_a_failed_stdout_write_exits_2_with_one_error_line(capsys, monkeypatch, error):
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", _FailingStdout(error))
+        code = main(["die", "--rolls", "100"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write stdout: {error.strerror}\n"
+
+
+def _closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("stdout", [
+    pytest.param(lambda: os.open("/dev/full", os.O_WRONLY), id="dev-full",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full")),
+    pytest.param(_closed_pipe, id="closed-pipe"),
+])
+def test_an_unwritable_stdout_exits_2_without_traceback(stdout):
+    # The interpreter flushes a buffered stdout again at exit; bytes left
+    # unwritten there would add an "Exception ignored" traceback.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    fd = stdout()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hm_sim", "die", "--rolls", "100"],
+            stdout=fd, stderr=subprocess.PIPE, text=True, env=env,
+            cwd=Path(hm_sim.__file__).resolve().parents[1],
+        )
+    finally:
+        os.close(fd)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 _IMPORT_PROBE = """

@@ -620,7 +620,7 @@ def test_spin_machine_builds_one_simplex_per_axis(monkeypatch):
         return build(observable)
 
     monkeypatch.setattr(hm_sim.geometry, "build_measurement_simplex", counting)
-    hm_sim.dynamics._spin_observable_of_bits.cache_clear()
+    hm_sim.dynamics._spin_plan_of_bits.cache_clear()
     r = BlochVector(2, np.array([0.3, 0.4, 0.5]))
     for t in range(200):
         spin_machine_measure(r, [0.2, -0.3, 0.9], MembraneModel.uniform(),
@@ -677,9 +677,7 @@ def test_spin_machine_prepares_once_per_state_and_axis(monkeypatch):
         return project(r, simplex)
 
     monkeypatch.setattr(hm_sim.dynamics, "project_onto_membrane", counting)
-    hm_sim.dynamics._spin_state_of_bits.cache_clear()
-    hm_sim.dynamics._spin_observable_of_bits.cache_clear()
-    prepare_measurement.cache_clear()
+    hm_sim.dynamics._spin_plan_of_bits.cache_clear()
     coordinates = np.array([0.3, 0.4, 0.5])
     model = MembraneModel.uniform()
     r = BlochVector(2, coordinates)
@@ -691,32 +689,41 @@ def test_spin_machine_prepares_once_per_state_and_axis(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("coordinates, at_vertex", [
-    ([-1.0, 0.0, 0.0], True),   # a pole of both axes below
-    ([0.0, 0.0, 0.0], False),   # the centre, polar angle pi/2
-    ([0.3, 0.4, 0.5], False),
-    ([0.3, -0.0, 0.5], False),
-], ids=["pole", "centre", "generic", "signed-zero"])
-def test_a_repeated_spin_shot_is_the_uncached_shot(coordinates, at_vertex):
+SIGNED_ZERO_AXES = ([-1.0, -0.0, 0.0], [-1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("pairs, at_vertex", [
+    ([([-1.0, 0.0, 0.0], axis) for axis in SIGNED_ZERO_AXES], True),  # a pole of both
+    ([([0.0, 0.0, 0.0], axis) for axis in SIGNED_ZERO_AXES], False),  # polar angle pi/2
+    ([([0.3, 0.4, 0.5], axis) for axis in SIGNED_ZERO_AXES], False),
+    ([([0.3, -0.0, 0.5], axis) for axis in SIGNED_ZERO_AXES], False),
+    # Two points on one axis, then one point on both signed-zero axes: a cache
+    # keyed on the axis alone, or on the point alone, hands one a wrong plan.
+    ([([0.3, 0.4, 0.5], SIGNED_ZERO_AXES[1]), ([0.3, -0.0, 0.5], SIGNED_ZERO_AXES[1]),
+      ([0.1, 0.2, 0.3], SIGNED_ZERO_AXES[0]), ([0.1, 0.2, 0.3], SIGNED_ZERO_AXES[1])], False),
+], ids=["pole", "centre", "generic", "signed-zero", "interleaved"])
+def test_a_repeated_spin_shot_is_the_uncached_shot(pairs, at_vertex):
     from hm_sim.bloch import _unit
     from hm_sim.serialize import dumps_canonical, trace_to_json
 
-    r = BlochVector(2, np.array(coordinates))
+    # The (point, axis) pairs take their shots in turn, each on trial stream t.
     model = MembraneModel.uniform()
-    for axis in ([-1.0, -0.0, 0.0], [-1.0, 0.0, 0.0]):
-        shots = [spin_machine_measure(r, axis, model, RandomSource(23).trial_stream(t))
-                 for t in range(30)]
+    shots = [(coordinates, axis, t, *spin_machine_measure(
+                 BlochVector(2, np.array(coordinates)), axis, model,
+                 RandomSource(23).trial_stream(t)))
+             for t in range(30) for coordinates, axis in pairs]
+    for coordinates, axis, t, outcome, trace in shots:
+        prepare_measurement.cache_clear()
+        state = bloch_to_density(BlochVector(2, np.array(coordinates)))
+        observable = spin_observable(axis)
+        assert (prepare_measurement(state, observable).at_vertex is not None) == at_vertex
+        label, fresh, _ = run_measurement(state, observable, model,
+                                          RandomSource(23).trial_stream(t))
+        assert dumps_canonical(trace_to_json(trace)) == dumps_canonical(trace_to_json(fresh))
         unit = _unit(np.asarray(axis))
-        for t, (outcome, trace) in enumerate(shots):
-            prepare_measurement.cache_clear()
-            state, observable = bloch_to_density(r), spin_observable(axis)
-            assert (prepare_measurement(state, observable).at_vertex is not None) == at_vertex
-            label, fresh, _ = run_measurement(state, observable, model,
-                                              RandomSource(23).trial_stream(t))
-            assert dumps_canonical(trace_to_json(trace)) == dumps_canonical(trace_to_json(fresh))
-            assert outcome.tobytes() == (unit if label > 0 else -unit).tobytes()
-            if not any(coordinates):
-                assert trace.polar_angle == math.pi / 2
+        assert outcome.tobytes() == (unit if label > 0 else -unit).tobytes()
+        if not any(coordinates):
+            assert trace.polar_angle == math.pi / 2
 
 
 # The die: the upper-face observable of six faces, measured by a solipsistic
