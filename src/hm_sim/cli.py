@@ -7,8 +7,9 @@ inline flags collected into the same document (the two routes exclude
 each other).  Each emits a machine-readable report (JSON by default, CSV
 on request) and exits 0 when every check passed, 1 when checks ran and
 failed, 2 on usage or configuration errors, and 3 when an internal
-invariant fails (``OracleMismatchError`` or ``ImpossibleOutcomeError``: a
-bug, not a bad input), with one ``internal error:`` line on stderr.
+invariant fails (``OracleMismatchError``, ``ImpossibleOutcomeError`` or a
+report that fails its own schema, ``ReportSchemaError``: a bug, not a bad
+input), with one ``internal error:`` line on stderr.
 Results depend only on the configuration and the master seed: the default
 seed is the fixed constant 0xB10C (overridable through the HM_SIM_SEED
 environment variable, which a config seed and then --seed in turn beat),
@@ -25,7 +26,8 @@ import sys
 
 from .bloch import BlochVector, DensityOperator, PureState, bloch_to_density, pure_to_density
 from .dynamics import ORACLE_TOL, MembraneModel, RandomSource, prepare_measurement, run_measurement
-from .errors import ConfigError, HmSimError, ImpossibleOutcomeError, OracleMismatchError
+from .errors import (ConfigError, HmSimError, ImpossibleOutcomeError, OracleMismatchError,
+                     ReportSchemaError)
 from .geometry import canonical_observable
 from .harness import (
     TOLERANCE_SIGMAS,
@@ -274,7 +276,7 @@ def main(argv=None) -> int:
         prepare_measurement.cache_clear()  # the report reuses no plan; free their simplexes
         passed = all(r["pass"] for r in reports)
         _emit(envelope(args.command, seed, passed, meta, reports, trace), args)
-    except (OracleMismatchError, ImpossibleOutcomeError) as err:
+    except (OracleMismatchError, ImpossibleOutcomeError, ReportSchemaError) as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3
     except HmSimError as err:

@@ -43,3 +43,7 @@ class OracleMismatchError(HmSimError, RuntimeError):
 
 class ConfigError(HmSimError, ValueError):
     """Malformed experiment configuration or command-line usage."""
+
+
+class ReportSchemaError(HmSimError, RuntimeError):
+    """A report the package built fails its own schema; signals a bug."""

@@ -3,22 +3,24 @@
 All numeric output is rounded to 12 significant digits before emission and
 JSON keys are sorted, so identical runs produce byte-identical files.  The
 report and config documents are validated against versioned JSON schemas
-shipped with the package.
+shipped with the package.  A small checker of the keyword subset those
+schemas use accepts a conforming document; jsonschema is imported only when
+the checker does not accept one, to decide it and to name its error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import operator
 import sys
 from importlib import resources
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .dynamics import CollapseTrace
-from .errors import ConfigError
+from .errors import ConfigError, ReportSchemaError
 from .harness import ConvergenceReport
 
 SCHEMA_VERSION = "1"
@@ -144,23 +146,124 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+class _Undecided(Exception):
+    """A value or keyword that ``_conforms`` does not decide."""
+
+
+# The JSON types of each plain Python value (an integral float is an integer too).
+_JSON_TYPES = {dict: {"object"}, list: {"array"}, str: {"string"}, bool: {"boolean"},
+               type(None): {"null"}, int: {"integer", "number"}, float: {"number"}}
+# Each bound keyword: the JSON type it applies to, and the test a value fails it by.
+_BOUNDS = {"minimum": ("number", operator.lt), "maximum": ("number", operator.gt),
+           "exclusiveMinimum": ("number", operator.le),
+           "minItems": ("array", lambda node, n: len(node) < n),
+           "maxItems": ("array", lambda node, n: len(node) > n)}
+
+
+def _finite_span(items: list):
+    """(min, max) of a list of ints and floats within the float range, else None.
+
+    Each step is one pass in C.  A finite sum rules out NaN and infinity (a sum
+    that overflows only sends the list to the slow path), so min and max are exact.
+    """
+    with contextlib.suppress(OverflowError):
+        if items and set(map(type, items)) <= {int, float} and math.isfinite(sum(items)):
+            low, high = min(items), max(items)
+            if -sys.float_info.max <= low and high <= sys.float_info.max:
+                return low, high
+    return None
+
+
+def _items_conform(items: list, schema: dict, root: dict) -> bool:
+    # A number array passes by its span, with no call per item; any other array,
+    # or one the span does not pass, is decided item by item.
+    if schema.get("type") == "number" and schema.keys() <= {"type", "minimum", "maximum"}:
+        span = _finite_span(items)
+        if span and schema.get("minimum", span[0]) <= span[0] <= span[1] <= schema.get(
+                "maximum", span[1]):
+            return True
+    return all(_conforms(item, schema, root) for item in items)
+
+
+def _conforms(node, schema: dict, root: dict) -> bool:
+    """Whether plain JSON ``node`` meets ``schema``, decided as Draft 2020-12 decides it.
+
+    The verdict is exact, not only safe, so an ``if`` is never wrongly false and
+    its ``then`` never wrongly skipped.  ``const`` and ``enum`` hold strings.  A
+    value of another Python type, or a keyword outside the subset the shipped
+    schemas use, raises ``_Undecided``.
+    """
+    if type(node) not in _JSON_TYPES:
+        raise _Undecided(type(node).__name__)
+    kinds = _JSON_TYPES[type(node)]
+    if type(node) is float and node.is_integer():
+        kinds = {"integer", "number"}
+    for key, value in schema.items():
+        if key == "type":
+            ok = not kinds.isdisjoint([value] if isinstance(value, str) else value)
+        elif key in ("const", "enum"):
+            ok = node in ([value] if key == "const" else value)
+        elif key in _BOUNDS:
+            applies, fails = _BOUNDS[key]
+            ok = applies not in kinds or not fails(node, value)
+        elif key == "required":
+            ok = "object" not in kinds or all(name in node for name in value)
+        elif key == "properties":
+            ok = "object" not in kinds or all(_conforms(node[name], sub, root)
+                                              for name, sub in value.items() if name in node)
+        elif key == "additionalProperties" and value is False:
+            ok = "object" not in kinds or node.keys() <= schema.get("properties", {}).keys()
+        elif key == "items":
+            ok = "array" not in kinds or _items_conform(node, value, root)
+        elif key == "$ref" and value.startswith("#/$defs/"):
+            ok = _conforms(node, root["$defs"][value.removeprefix("#/$defs/")], root)
+        elif key == "allOf":
+            ok = all(_conforms(node, sub, root) for sub in value)
+        elif key == "if":
+            ok = not _conforms(node, value, root) or _conforms(node, schema.get("then", {}), root)
+        elif key in ("then", "$defs", "$schema", "$id", "title"):
+            continue
+        else:
+            raise _Undecided(key)
+        if not ok:
+            return False
+    return True
+
+
 def schema_error(payload, name: str):
     """The error ``jsonschema.validate`` would raise for ``payload``, or None.
 
-    It does not re-check the shipped schema against the metaschema on every
-    run, as ``jsonschema.validate`` does; the test suite checks it once.
+    ``_conforms`` accepts a conforming payload of plain JSON values without
+    jsonschema.  Any other payload goes to jsonschema, imported here, whose
+    ``best_match`` picks the error.  It does not re-check the shipped schema
+    against the metaschema on every run, as ``jsonschema.validate`` does; the
+    test suite checks it once.
     """
-    return best_match(Draft202012Validator(load_schema(name)).iter_errors(payload))
+    schema = load_schema(name)
+    with contextlib.suppress(_Undecided):
+        if _conforms(payload, schema, schema):
+            return None
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
+    return best_match(Draft202012Validator(schema).iter_errors(payload))
+
+
+def _field(error) -> str:
+    return "/".join(str(p) for p in error.absolute_path) or "<root>"
 
 
 def validate_report_payload(payload: dict) -> None:
+    """Check a report against its schema; a report that fails it is a bug."""
     error = schema_error(payload, "report.schema.json")
     if error is not None:
-        raise error
+        raise ReportSchemaError(f"report field {_field(error)}: {error.message}") from error
 
 
 def _non_finite_field(node, path=()):
     """The path of the first number that is NaN, infinite or beyond the float range."""
+    if isinstance(node, list) and _finite_span(node):
+        return None  # a number array, checked in C
     if isinstance(node, (dict, list)):
         items = node.items() if isinstance(node, dict) else enumerate(node)
         return next(filter(None, (_non_finite_field(v, (*path, k)) for k, v in items)), None)
@@ -176,8 +279,7 @@ def validate_config_payload(payload: dict) -> None:
         raise ConfigError(f"config field {path}: not a finite number")
     error = schema_error(payload, "config.schema.json")
     if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {error.message}") from error
+        raise ConfigError(f"config field {_field(error)}: {error.message}") from error
 
 
 def load_config_file(path: str) -> dict:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import hm_sim.cli
 import hm_sim.dynamics
 import hm_sim.geometry
 import hm_sim.harness
@@ -741,8 +742,8 @@ _IMPORT_PROBE = """
 import json, sys
 from hm_sim.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
 measure, ua, out = sys.argv[1:]
 codes = [
@@ -753,20 +754,25 @@ codes = [
     main(["die", "--rolls", "100", "--out", out]),
     main(["die", "--start", "on_table:4", "--out", out]),
 ]
-before_hotelling = scipy_modules()
+before_hotelling = loaded("scipy")
 codes.append(main(["universal-average", "--config", ua, "--out", out]))
+after_hotelling, accepted_jsonschema = loaded("scipy"), loaded("jsonschema")
+codes.append(main(["die", "--rolls", "0", "--out", out]))
 print(json.dumps({"codes": codes, "before_hotelling": before_hotelling,
-                  "after_hotelling": scipy_modules()}))
+                  "after_hotelling": after_hotelling,
+                  "accepted_jsonschema": accepted_jsonschema,
+                  "rejected_jsonschema": loaded("jsonschema")}))
 """
 
 
-def test_only_the_hotelling_verdict_loads_scipy_and_none_loads_scipy_stats(tmp_path):
-    # scipy is the largest import; a fresh interpreter shows what each
-    # command pulls in.  The chi-square verdicts read a table, so measure,
-    # spin-machine, verify-born and die load no scipy at all; universal-average
-    # over random membranes takes its F quantile from scipy.special.  Run from
-    # the directory holding the imported package, so that the child tests the
-    # same code without an install or PYTHONPATH.
+@pytest.fixture(scope="module")
+def import_probe(tmp_path_factory):
+    """What six accepted commands and then one rejected config load, in a fresh interpreter.
+
+    Run from the directory holding the imported package, so that the child
+    tests the same code without an install or PYTHONPATH.
+    """
+    tmp_path = tmp_path_factory.mktemp("import-probe")
     measure = tmp_path / "measure.json"
     measure.write_text(json.dumps(_measure_config(
         dimension=3, state={"kind": "pure", "re": [0.6, 0.8, 0.0]})))
@@ -779,11 +785,38 @@ def test_only_the_hotelling_verdict_loads_scipy_and_none_loads_scipy_stats(tmp_p
         cwd=Path(hm_sim.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert loaded["codes"] == [0] * 6
+    return json.loads(proc.stdout), proc.stderr
+
+
+def test_only_the_hotelling_verdict_loads_scipy_and_none_loads_scipy_stats(import_probe):
+    # scipy is the largest import; a fresh interpreter shows what each
+    # command pulls in.  The chi-square verdicts read a table, so measure,
+    # spin-machine, verify-born and die load no scipy at all; universal-average
+    # over random membranes takes its F quantile from scipy.special.
+    loaded, _ = import_probe
+    assert loaded["codes"][:6] == [0] * 6
     assert loaded["before_hotelling"] == []
     assert "scipy.special" in loaded["after_hotelling"]
     assert not [m for m in loaded["after_hotelling"] if m.startswith("scipy.stats")]
+
+
+def test_no_accepted_command_loads_jsonschema_and_a_rejected_config_names_its_error(
+        import_probe):
+    # The in-package checker accepts a valid config and report; jsonschema is
+    # imported only to name the error of a document the checker does not accept.
+    loaded, stderr = import_probe
+    assert loaded["accepted_jsonschema"] == []
+    assert loaded["codes"][6] == 2
+    assert stderr == "error: config field rolls: 0.0 is less than the minimum of 1\n"
+    assert "jsonschema" in loaded["rejected_jsonschema"]
+
+
+def test_a_report_that_fails_its_schema_exits_3_with_one_line(capsys, monkeypatch):
+    real = hm_sim.cli.envelope
+    monkeypatch.setattr(hm_sim.cli, "envelope", lambda *a, **k: dict(real(*a, **k), meta=5))
+    code, out, err = run_cli(capsys, "die", "--rolls", "100")
+    assert (code, out) == (3, "")
+    assert err == "internal error: report field meta: 5 is not of type 'object'\n"
 
 
 # --- the exit-code contract over schema-valid configs ---------------------------

@@ -1,21 +1,30 @@
 """JSON/CSV emission and schema validation."""
 
+import copy
+import functools
 import json
 import math
+import operator
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from helpers import random_pure
 
 from hm_sim.bloch import pure_to_density
 from hm_sim.dynamics import MembraneModel, RandomSource, run_measurement
-from hm_sim.errors import ConfigError
+from hm_sim.errors import ConfigError, ReportSchemaError
 from hm_sim.geometry import canonical_observable
 from hm_sim.harness import ExperimentConfig, simulate_statistics
 from hm_sim.serialize import (
+    _conforms,
+    _Undecided,
     csv_from_entries,
     dumps_canonical,
     envelope,
@@ -197,3 +206,213 @@ def test_schema_error_matches_jsonschema_validate(name, payload):
 def test_schema_error_accepts_what_jsonschema_validate_accepts(name, payload):
     jsonschema.validate(payload, load_schema(name))
     assert schema_error(payload, name) is None
+
+
+def test_a_report_that_fails_its_schema_raises_report_schema_error():
+    with pytest.raises(ReportSchemaError, match="^report field meta: 5 is not of type 'object'$"):
+        validate_report_payload(dict(_report(), meta=5))
+
+
+# --- the in-package checker against jsonschema ------------------------------------
+
+# What ``_conforms`` decides; any other keyword raises ``_Undecided``.
+CHECKED_KEYWORDS = {
+    "type", "const", "enum", "required", "properties", "additionalProperties",
+    "minimum", "maximum", "exclusiveMinimum", "items", "minItems", "maxItems",
+    "$ref", "allOf", "if", "then",
+}
+
+
+def _subschemas(schema):
+    yield schema
+    for key, value in schema.items():
+        if key in ("properties", "$defs"):
+            children = list(value.values())
+        elif key == "allOf":
+            children = value
+        elif key in ("items", "if", "then"):
+            children = [value]
+        else:
+            children = []
+        for child in children:
+            yield from _subschemas(child)
+
+
+@pytest.mark.parametrize("name", ["config.schema.json", "report.schema.json"])
+def test_the_shipped_schemas_use_only_the_checked_keyword_subset(name):
+    # A schema edit that needs another keyword fails here, not silently unchecked.
+    schema = load_schema(name)
+    for sub in _subschemas(schema):
+        annotations = {"$schema", "$id", "title", "$defs"} if sub is schema else set()
+        assert sub.keys() <= CHECKED_KEYWORDS | annotations, sub
+        # The checker compares const and enum values as strings, as jsonschema does.
+        assert all(isinstance(v, str) for v in [sub.get("const", "")] + sub.get("enum", []))
+        assert sub.get("additionalProperties", False) is False
+        if "$ref" in sub:
+            prefix, _, target = sub["$ref"].rpartition("/")
+            assert prefix == "#/$defs" and target in schema["$defs"]
+
+
+# jsonschema.validate less its metaschema check, which is tested once above.
+_VALIDATORS = {name: Draft202012Validator(load_schema(name))
+               for name in ("config.schema.json", "report.schema.json")}
+
+
+def _assert_schema_error_is_jsonschemas(doc, name) -> bool:
+    """Check ``schema_error`` gives jsonschema's verdict, message and path; True if accepted."""
+    reference = best_match(_VALIDATORS[name].iter_errors(doc))
+    error = schema_error(doc, name)
+    assert (error is None) == (reference is None), doc
+    if reference is not None:
+        assert (error.message, error.absolute_path) == (reference.message, reference.absolute_path)
+    return reference is None
+
+
+def test_the_checker_leaves_other_values_and_keywords_undecided():
+    schema = load_schema("config.schema.json")
+    for payload in [dict(SPIN, angle=np.float64(0.5)), dict(SPIN, angle=(0.5,)), (1,)]:
+        with pytest.raises(_Undecided):
+            _conforms(payload, schema, schema)
+    with pytest.raises(_Undecided):
+        _conforms(1, {"multipleOf": 2}, {})
+
+
+@pytest.mark.parametrize("payload", [
+    dict(SPIN, angle=np.float64(0.5)),
+    dict(SPIN, trials=np.int64(10)),
+    dict(MEASURE, state={"kind": "bloch", "coordinates": (0.0, 0.0, 1.0)}),
+])
+def test_schema_error_hands_other_python_types_to_jsonschema(payload):
+    _assert_schema_error_is_jsonschemas(payload, "config.schema.json")
+
+
+def _weights(n):
+    return [(i + 1) / (n * (n + 1) / 2) for i in range(n)]
+
+
+UA_CONFIG = {
+    "schema_version": "1", "experiment": "universal-average", "dimension": 3,
+    "state": {"kind": "pure", "re": [0.6, 0.8, 0.0], "im": [0.0, 0.0, 0.0]},
+    "observable": {"kind": "explicit", "labels": [1.0, 2, 3.5], "eigenstates": [
+        {"re": [1, 0, 0]}, {"re": [0, 1, 0], "im": [0, 0, 0]}, {"re": [0, 0, 1]}]},
+    "cells": 100, "membranes": 2, "trials_per_membrane": 100,
+    "fixed_cell_weights": _weights(100),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400,
+                                 int(sys.float_info.max) + 1])
+@pytest.mark.parametrize("at", [0, 1, 999])
+def test_a_non_finite_number_in_a_long_array_is_named_before_the_schema(bad, at):
+    # A number array is checked for finiteness in C; NaN must not hide in min and max.
+    weights = _weights(1000)
+    weights[at] = bad
+    config = dict(UA_CONFIG, cells=0, fixed_cell_weights=weights)
+    with pytest.raises(ConfigError, match=f"^config field fixed_cell_weights/{at}: not a finite"):
+        validate_config_payload(config)
+
+
+VALID_CONFIGS = [
+    dict(SPIN, trials=1000, seed=3, tolerance_sigmas=4.0),
+    {"schema_version": "1", "experiment": "verify-born", "dimension": 3, "states": 10.0,
+     "trials": 100},
+    {"schema_version": "1", "experiment": "die", "rolls": 100, "start": "on_table:4"},
+    UA_CONFIG,
+    dict(MEASURE, dimension=8, state={"kind": "bloch", "coordinates": [0.01] * 63},
+         observable={"kind": "canonical", "labels": [0.5, -0.5] * 4},
+         membrane={"kind": "cellular", "weights": _weights(100)}),
+    dict(MEASURE, state={"kind": "preset", "name": "basis", "index": 1},
+         observable={"kind": "spin_axis", "axis": [0.0, 0, 1e-3]},
+         membrane={"kind": "solipsistic"}),
+]
+
+
+def _trace_report():
+    psi = random_pure(np.random.default_rng(3), 6)
+    _, trace, _ = run_measurement(pure_to_density(psi), canonical_observable(6),
+                                  MembraneModel.uniform(), RandomSource(5).trial_stream(0))
+    doc = envelope("measure", 5, True, {"dimension": 6}, [], trace=trace_to_json(trace))
+    return json.loads(dumps_canonical(doc))
+
+
+def _many_reports():
+    report = _report()
+    report["reports"] *= 3
+    report["reports"][1] = dict(report["reports"][1], chi_square=None, analytic_max_gap=0.0,
+                                meta={"k": 1})
+    return report
+
+
+VALID_REPORTS = [_report(), _trace_report(), _many_reports()]
+
+# The tags that choose an if/then branch, and the values each mutation writes.
+_TAGS = ["spin-machine", "verify-born", "die", "universal-average", "measure", "pure",
+         "bloch", "preset", "basis", "maximally_mixed", "canonical", "explicit",
+         "spin_axis", "uniform", "solipsistic", "cellular", "binomial"]
+_WRONG_TYPES = [True, False, None, "x", "1", 1, 1.0, 2.5, 10**400, math.nan, math.inf,
+                [], [0.5], [0.5, 1, 2], {}, {"kind": "pure"}]
+_OUT_OF_RANGE = [-1, -1.0, -1e-300, 0, 0.0, 1, 2, 3.14159265359, 3.2, 8, 9, 160, 161,
+                 10**6 + 1, 10**9 + 1, 2**63, -math.inf]
+_KEYS = ["extra", "angle", "index", "weights", "trace", "meta", "name", "im", "membrane"]
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _at(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+def _mutate(doc, data):
+    """One mutation of ``doc``, in place, at a path the mutation applies to."""
+    paths = list(_paths(doc))[1:]
+    leaf = {path: _at(doc, path) for path in paths}
+    ops = {
+        "wrong type": (paths, _WRONG_TYPES),
+        "out of range": ([p for p in paths if type(leaf[p]) in (int, float)], _OUT_OF_RANGE),
+        "missing key": ([p for p in paths if isinstance(p[-1], str)], None),
+        "extra key": ([p for p in paths if isinstance(leaf[p], dict)], _WRONG_TYPES),
+        "retag": ([p for p in paths if p[-1] in ("experiment", "kind", "name", "command",
+                                                   "sigma_model")], _TAGS),
+        "deep item": ([p for p in paths if isinstance(p[-1], int) and len(p) > 1
+                       and p[-1] >= 30], _WRONG_TYPES + _OUT_OF_RANGE),
+    }
+    op = data.draw(st.sampled_from([op for op, (where, _) in ops.items() if where]))
+    where, values = ops[op]
+    path = data.draw(st.sampled_from(where))
+    parent = _at(doc, path[:-1])
+    if op == "missing key":
+        del parent[path[-1]]
+    elif op == "extra key":
+        leaf[path][data.draw(st.sampled_from(_KEYS))] = copy.deepcopy(
+            data.draw(st.sampled_from(values)))
+    else:
+        parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(values)))
+
+
+@pytest.mark.parametrize("name, doc", [("config.schema.json", c) for c in VALID_CONFIGS]
+                         + [("report.schema.json", r) for r in VALID_REPORTS])
+def test_the_unmutated_documents_are_valid(name, doc):
+    jsonschema.validate(doc, load_schema(name))
+    assert schema_error(doc, name) is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_schema_error_decides_mutated_configs_and_reports_as_jsonschema_does(data):
+    # The checker accepts exactly what jsonschema accepts, on plain JSON values,
+    # so it never accepts a document jsonschema rejects, also under an if/then.
+    name, doc = data.draw(st.sampled_from(
+        [("config.schema.json", c) for c in VALID_CONFIGS]
+        + [("report.schema.json", r) for r in VALID_REPORTS]))
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate(doc, data)
+    accepted = _assert_schema_error_is_jsonschemas(doc, name)
+    schema = load_schema(name)
+    assert _conforms(doc, schema, schema) is accepted, doc
