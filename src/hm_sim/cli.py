@@ -6,10 +6,11 @@ one config schema: the ``--config`` file, or for the first three the
 inline flags collected into the same document (the two routes exclude
 each other).  Each emits a machine-readable report (JSON by default, CSV
 on request) and exits 0 when every check passed, 1 when checks ran and
-failed, 2 on usage or configuration errors, and 3 when an internal
-invariant fails (``OracleMismatchError``, ``ImpossibleOutcomeError`` or a
-report that fails its own schema, ``ReportSchemaError``: a bug, not a bad
-input), with one ``internal error:`` line on stderr.
+failed, 2 on usage or configuration errors (a config of any nesting depth
+included), and 3 when an internal invariant fails (``OracleMismatchError``,
+``ImpossibleOutcomeError``, or ``ReportSchemaError`` for a report that holds a
+non-finite number or fails its own schema, checked before either format is
+written: a bug, not a bad input), with one ``internal error:`` line on stderr.
 Results depend only on the configuration and the master seed: the default
 seed is the fixed constant 0xB10C (overridable through the HM_SIM_SEED
 environment variable, which a config seed and then --seed in turn beat),
@@ -243,11 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, args) -> None:
-    if args.format == "csv":
-        text = csv_from_entries(payload["reports"])
-    else:
-        validate_report_payload(payload)
-        text = dumps_canonical(payload)
+    validate_report_payload(payload)  # whatever the format
+    text = (csv_from_entries(payload["reports"]) if args.format == "csv"
+            else dumps_canonical(payload))
     try:
         with (contextlib.nullcontext(sys.stdout) if args.out is None
               else open(args.out, "w", encoding="utf-8", newline="\n")) as handle:

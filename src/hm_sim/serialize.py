@@ -1,11 +1,12 @@
 """JSON and CSV emission with stable, reproducible formatting.
 
-All numeric output is rounded to 12 significant digits before emission and
-JSON keys are sorted, so identical runs produce byte-identical files.  The
-report and config documents are validated against versioned JSON schemas
-shipped with the package.  A small checker of the keyword subset those
-schemas use accepts a conforming document; jsonschema is imported only when
-the checker does not accept one, to decide it and to name its error.
+Every number, in JSON and in CSV alike, is printed with 12 significant
+digits by one format, and JSON keys are sorted, so identical runs produce
+byte-identical files.  Configs and reports pass one check: every number must
+be finite, then the document must meet its versioned JSON schema, shipped
+with the package.  A small checker of the keyword subset those schemas use
+accepts a conforming document; jsonschema is imported only when the checker
+does not accept one, to decide it and to name its error.
 """
 
 from __future__ import annotations
@@ -26,9 +27,14 @@ from .harness import ConvergenceReport
 SCHEMA_VERSION = "1"
 
 
+def _g12(x) -> str:
+    """``x`` with 12 significant digits: the one number format of JSON and CSV."""
+    return f"{float(x):.12g}"
+
+
 def sig12(x: float) -> float:
     """Round to 12 significant digits (the CLI's numeric output contract)."""
-    return float(f"{float(x):.12g}")
+    return float(_g12(x))
 
 
 def _rounded(obj):
@@ -94,14 +100,8 @@ def report_entry(report_id: str, report: ConvergenceReport, analytic_max_gap=Non
     return entry
 
 
-def envelope(
-    command: str,
-    seed: int,
-    passed: bool,
-    meta: dict,
-    reports: list[dict],
-    trace: dict | None = None,
-) -> dict:
+def envelope(command: str, seed: int, passed: bool, meta: dict, reports: list[dict],
+             trace: dict | None = None) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -124,17 +124,9 @@ def csv_from_entries(entries: list[dict]) -> str:
     """One row per outcome block; column order is fixed and documented."""
     lines = [CSV_HEADER]
     for entry in entries:
-        for label, exp, obs, dev, sig in zip(
-            entry["block_labels"],
-            entry["expected"],
-            entry["observed"],
-            entry["deviation"],
-            entry["sigma"],
-        ):
-            lines.append(
-                f"{label:.12g},{exp:.12g},{obs:.12g},"
-                f"{dev:.12g},{sig:.12g},{entry['id']}"
-            )
+        rows = zip(*(entry[key] for key in
+                     ("block_labels", "expected", "observed", "deviation", "sigma")))
+        lines += [",".join([*map(_g12, row), entry["id"]]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -249,37 +241,44 @@ def schema_error(payload, name: str):
     return best_match(Draft202012Validator(schema).iter_errors(payload))
 
 
-def _field(error) -> str:
-    return "/".join(str(p) for p in error.absolute_path) or "<root>"
+def _field(path) -> str:
+    return "/".join(map(str, path)) or "<root>"
 
 
-def validate_report_payload(payload: dict) -> None:
-    """Check a report against its schema; a report that fails it is a bug."""
-    error = schema_error(payload, "report.schema.json")
-    if error is not None:
-        raise ReportSchemaError(f"report field {_field(error)}: {error.message}") from error
-
-
-def _non_finite_field(node, path=()):
-    """The path of the first number that is NaN, infinite or beyond the float range."""
-    if isinstance(node, list) and _finite_span(node):
-        return None  # a number array, checked in C
-    if isinstance(node, (dict, list)):
-        items = node.items() if isinstance(node, dict) else enumerate(node)
-        return next(filter(None, (_non_finite_field(v, (*path, k)) for k, v in items)), None)
-    if isinstance(node, (int, float)) and not abs(node) <= sys.float_info.max:
-        return "/".join(map(str, path)) or "<root>"
+def _non_finite_field(payload):
+    """The path of the first NaN, infinity or number beyond the float range, at any depth."""
+    stack = [((), payload)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, dict) or (isinstance(node, list) and not _finite_span(node)):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            stack += reversed([((*path, k), v) for k, v in items])
+        elif isinstance(node, (int, float)) and not abs(node) <= sys.float_info.max:
+            return path
     return None
 
 
-def validate_config_payload(payload: dict) -> None:
-    """Check a config's numbers are finite, then its schema; ConfigError names the field."""
+def _check(payload: dict, kind: str, error: type) -> None:
+    """Raise ``error`` naming the field of a non-finite number, else of a ``kind`` schema error."""
     path = _non_finite_field(payload)
     if path is not None:
-        raise ConfigError(f"config field {path}: not a finite number")
-    error = schema_error(payload, "config.schema.json")
-    if error is not None:
-        raise ConfigError(f"config field {_field(error)}: {error.message}") from error
+        raise error(f"{kind} field {_field(path)}: not a finite number")
+    try:
+        found = schema_error(payload, f"{kind}.schema.json")
+    except RecursionError as err:  # from jsonschema's repr of a deeply nested value
+        raise error(f"cannot check {kind}: {err}") from None
+    if found is not None:
+        raise error(f"{kind} field {_field(found.absolute_path)}: {found.message}") from found
+
+
+def validate_report_payload(payload: dict) -> None:
+    """Check a report as a config is checked; one that fails is a bug, ReportSchemaError."""
+    _check(payload, "report", ReportSchemaError)
+
+
+def validate_config_payload(payload: dict) -> None:
+    """Finite numbers, then the config schema, as for a report; ConfigError names the field."""
+    _check(payload, "config", ConfigError)
 
 
 def load_config_file(path: str) -> dict:
@@ -290,12 +289,11 @@ def load_config_file(path: str) -> dict:
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
-        raise ConfigError(
-            f"config {path} is not valid JSON: line {err.lineno} "
-            f"column {err.colno}: {err.msg}"
-        ) from err
-    except ValueError as err:
-        # An integer longer than Python converts, or bytes that are not UTF-8.
+        raise ConfigError(f"config {path} is not valid JSON: line {err.lineno} "
+                          f"column {err.colno}: {err.msg}") from err
+    except (ValueError, RecursionError) as err:
+        # An integer longer than Python converts, bytes that are not UTF-8, or
+        # arrays and objects nested deeper than the parser's recursion limit.
         raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

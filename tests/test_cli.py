@@ -819,6 +819,63 @@ def test_a_report_that_fails_its_schema_exits_3_with_one_line(capsys, monkeypatc
     assert err == "internal error: report field meta: 5 is not of type 'object'\n"
 
 
+def test_a_csv_report_that_fails_its_schema_exits_3_with_one_line(capsys, monkeypatch):
+    # The report check runs before the format is chosen, so CSV writes nothing either.
+    real = hm_sim.cli.envelope
+    monkeypatch.setattr(hm_sim.cli, "envelope", lambda *a, **k: dict(real(*a, **k), meta=5))
+    code, out, err = run_cli(capsys, "die", "--rolls", "100", "--format", "csv")
+    assert (code, out) == (3, "")
+    assert err == "internal error: report field meta: 5 is not of type 'object'\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_non_finite_report_number_exits_3_with_one_line(capsys, monkeypatch, fmt):
+    # JSON cannot write a NaN and CSV would print "nan": either way it is a bug.
+    real = hm_sim.cli.envelope
+
+    def with_nan(*args, **kwargs):
+        doc = real(*args, **kwargs)
+        doc["reports"][0]["expected"][0] = math.nan
+        return doc
+
+    monkeypatch.setattr(hm_sim.cli, "envelope", with_nan)
+    code, out, err = run_cli(capsys, "die", "--rolls", "100", "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err == "internal error: report field reports/0/expected/0: not a finite number\n"
+
+
+def _nested_config(tmp_path, config, depth):
+    """A config file whose "NESTED" string is a number inside ``depth`` arrays."""
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(config).replace('"NESTED"', "[" * depth + "1.0" + "]" * depth))
+    return str(path)
+
+
+@pytest.mark.parametrize("depth", [500, 1000])
+def test_a_deeply_nested_config_exits_2_with_one_error_line(tmp_path, capsys, depth):
+    config = _measure_config(state={"kind": "pure", "re": "NESTED"})
+    code, out, err = run_cli(capsys, "measure", "--config",
+                             _nested_config(tmp_path, config, depth))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err[-200:]
+
+
+@pytest.mark.parametrize("depth", [500, 1000])
+def test_a_deeply_nested_unknown_root_key_runs_or_exits_2(tmp_path, capsys, depth):
+    # The schema admits unknown root keys, so the run is the plain one, as long as
+    # the parser can read the document; one nested deeper than its recursion
+    # limit is unreadable.
+    config = {"schema_version": "1", "experiment": "die", "rolls": 100, "bogus": "NESTED"}
+    code, out, err = run_cli(capsys, "die", "--config", _nested_config(tmp_path, config, depth))
+    if depth == 500:
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "die", "--rolls", "100")[1]
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config ") and err.count("\n") == 1, err
+        assert "maximum recursion depth exceeded" in err
+
+
 # --- the exit-code contract over schema-valid configs ---------------------------
 
 _finite = st.floats(-2.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False)
@@ -937,6 +994,16 @@ _configs = st.one_of(
 INLINE_COMMANDS = ("spin-machine", "verify-born", "die")
 
 
+def _csv_of(payload):
+    """The CSV of a JSON report: one row per block, each number as ``.12g`` text."""
+    rows = ["label,expected,observed,deviation,sigma,report"]
+    for r in payload["reports"]:
+        for values in zip(r["block_labels"], r["expected"], r["observed"], r["deviation"],
+                          r["sigma"]):
+            rows.append(",".join([*(f"{v:.12g}" for v in values), r["id"]]))
+    return "\n".join(rows) + "\n"
+
+
 def _beyond_the_float_range(node):
     if isinstance(node, dict):
         return any(map(_beyond_the_float_range, node.values()))
@@ -989,6 +1056,16 @@ def test_every_schema_valid_config_exits_0_1_or_2_without_traceback(
         assert code == 2, err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         report = ""
+    # Every command but measure writes CSV too, with the same exit code, and
+    # each CSV number is the 12-significant-digit text of the JSON number.
+    if config["experiment"] != "measure":
+        csv = tmp_path / "report.csv"
+        csv.unlink(missing_ok=True)
+        csv_code, _, csv_err = run_cli(capsys, config["experiment"], "--config", str(cfg),
+                                       "--format", "csv", "--out", str(csv))
+        assert (csv_code, csv_err) == (code, err)
+        if code in (0, 1):
+            assert csv.read_text() == _csv_of(payload)
     # The inline twin of a config that flags can spell runs the same.
     fields = {k: v for k, v in config.items() if k not in ("schema_version", "experiment")}
     if config["experiment"] in INLINE_COMMANDS and "tolerance_sigmas" not in fields:

@@ -5,7 +5,8 @@ digests pin that promise at test speed for one run of each command, plus
 a ``measure`` of a Bloch-vector state, two fixed-weights universal-average
 runs, which are expected failures (exit 1), one-cell universal-average
 runs, random-weight runs on each verdict branch and a die rolled from a face;
-the full byte contract is the benchmark's ``bench/golden.json``.
+four of the runs are pinned as CSV too.  The full byte contract is the
+benchmark's ``bench/golden.json``.
 A change that moves report bytes on purpose re-records these digests
 together with ``golden.json`` and says so in CHANGES.md.
 """
@@ -129,11 +130,18 @@ CASES = {
 
 EXPECTED_EXIT = {"fixed-last-cell": 1, "fixed-spread": 1}
 
+# The same runs printed as CSV, whose numbers share JSON's 12-digit format.
+CSV_DIGESTS = {
+    "spin-machine": "1f3102aba7d0336b10b7ddf99458cad515d362166c9b7662bd4baba24c7b0f86",
+    "verify-born": "25f20fbf2a3ee265e5f7f630330b79640ea56834e4e6738f8cc407f7e7921394",
+    "die": "707c2b4c8037470cffdee311381534518944995ac080b59b5dc56c4324b164af",
+    "universal-average": "031e6398705422da39e895ee62e6e3e008c2fa196918aa0e40b71d208f82e714",
+}
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_report_bytes_are_pinned(tmp_path, capsys, name):
-    argv, config, digest = CASES[name]
-    argv = [*argv, "--seed", "11"]
+
+def _digest(tmp_path, capsys, name, *extra):
+    argv, config, _ = CASES[name]
+    argv = [*argv, "--seed", "11", *extra]
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -141,4 +149,14 @@ def test_report_bytes_are_pinned(tmp_path, capsys, name):
     code = main(argv)
     out = capsys.readouterr().out
     assert code == EXPECTED_EXIT.get(name, 0)
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_report_bytes_are_pinned(tmp_path, capsys, name):
+    assert _digest(tmp_path, capsys, name) == CASES[name][2]
+
+
+@pytest.mark.parametrize("name", list(CSV_DIGESTS))
+def test_csv_report_bytes_are_pinned(tmp_path, capsys, name):
+    assert _digest(tmp_path, capsys, name, "--format", "csv") == CSV_DIGESTS[name]

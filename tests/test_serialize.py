@@ -335,6 +335,34 @@ def _trace_report():
     return json.loads(dumps_canonical(doc))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_trace_coordinate_fails_the_report_check(bad):
+    # Only a bug puts one there; the report check names it as a config's check does.
+    report = _trace_report()
+    report["trace"]["on_membrane_point"][1] = bad
+    with pytest.raises(ReportSchemaError,
+                       match="^report field trace/on_membrane_point/1: not a finite number$"):
+        validate_report_payload(report)
+
+
+def _nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_a_config_deeper_than_the_recursion_limit_is_checked_without_recursion_error():
+    depth = 2 * sys.getrecursionlimit()
+    # The schema admits an unknown root key of any depth.
+    validate_config_payload(dict(SPIN, bogus=_nested(1.0, depth)))
+    path = "/".join(["bogus"] + ["0"] * depth)
+    with pytest.raises(ConfigError, match=f"^config field {path}: not a finite number$"):
+        validate_config_payload(dict(SPIN, bogus=_nested(math.nan, depth)))
+    # jsonschema names a bad value by its repr, which recursion limits.
+    with pytest.raises(ConfigError, match="^cannot check config: maximum recursion depth"):
+        validate_config_payload(dict(SPIN, experiment=_nested(1.0, depth)))
+
+
 def _many_reports():
     report = _report()
     report["reports"] *= 3
