@@ -41,6 +41,7 @@ from .errors import (
 )
 from .geometry import (
     Observable,
+    _classify_by_columns,
     barycentric_coordinates,
     born_probabilities,
     classify_weights,
@@ -183,10 +184,27 @@ def _find_cells(cs: np.ndarray, table: np.ndarray, r: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _by_columns(count: int, n: int) -> bool:
+    """Whether a draw of ``count`` breaks is normalised and classified by columns.
+
+    numpy's inner loop runs along a row, so a long chunk of rows of N <= 8
+    floats loses most of its time to per-row overhead; a column route then
+    runs each step down a whole column.  A single shot, a short draw or a
+    wide row is faster by rows.  numpy adds a row of up to 7 floats (the
+    N - 1 exponentials of a cellular break) left to right, the order in
+    which the columns are added, so both routes give the same bytes.
+    """
+    return n <= 8 and count >= 1024
+
+
 def _cellular_weights(
-    rng: np.random.Generator, model: MembraneModel, v: np.ndarray
+    rng: np.random.Generator, model: MembraneModel, v: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
-    """Barycentric weights of len(v) breaks of a membrane of m > 1 cells, in v."""
+    """Barycentric weights of len(v) breaks of a membrane of m > 1 cells, in v.
+
+    By columns, the exponentials of the opposite face are drawn into
+    ``work``, which holds at least len(v) * (N - 1) floats.
+    """
     count, n = v.shape
     m = model.cell_count
     r = rng.random(count)
@@ -206,14 +224,24 @@ def _cellular_weights(
     if n == 2:
         v[:, 1] = x
         return v
-    e = rng.standard_exponential((count, n - 1))
-    rest = np.divide(e, e.sum(axis=1, keepdims=True), out=v[:, 1:])
-    rest *= x[:, None]
+    if not _by_columns(count, n):
+        e = rng.standard_exponential((count, n - 1))
+        rest = np.divide(e, e.sum(axis=1, keepdims=True), out=v[:, 1:])
+        rest *= x[:, None]
+        return v
+    e = rng.standard_exponential(out=work[:count * (n - 1)].reshape(count, n - 1))
+    # Each weight is still (e / sum) * (1 - w0), the sum added left to right.
+    total = e[:, 0].copy()
+    for j in range(1, n - 1):
+        total += e[:, j]
+    for j in range(n - 1):
+        np.divide(e[:, j], total, out=v[:, j + 1])
+        v[:, j + 1] *= x
     return v
 
 
 def _break_rows(
-    model: MembraneModel, rng: np.random.Generator, v: np.ndarray
+    model: MembraneModel, rng: np.random.Generator, v: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
     """Non-solipsistic breaks as the rows of ``v``, a (count, N) array.
 
@@ -222,13 +250,33 @@ def _break_rows(
     exponentials, which normalised is uniform on the simplex; the classifier
     ignores a row's scale, so only the row a single-shot trace prints is
     normalised.  A single cell spans the whole simplex, so that membrane
-    draws the uniform rows, draw for draw.
+    draws the uniform rows, draw for draw.  ``work`` is scratch space of
+    v.size floats.
     """
     if model.kind == "cellular" and model.cell_count > 1:
-        return _cellular_weights(rng, model, v)
+        return _cellular_weights(rng, model, v, work)
     rng.standard_exponential(out=v)
     v[:1] /= v[:1].sum(axis=1, keepdims=True)
     return v
+
+
+def _draw_breaks(
+    model: MembraneModel, u: np.ndarray, rng: np.random.Generator, v: np.ndarray,
+    work: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``draw_breaks`` into the caller's (count, N) rows ``v``.
+
+    ``work`` is scratch space of v.size floats for the column route; the
+    batch sampler keeps one of each array per worker.
+    """
+    count, n = v.shape
+    if model.kind == "solipsistic":
+        return rng.integers(0, n, size=count), None
+    _break_rows(model, rng, v, work)
+    first = v[0].copy()
+    if _by_columns(count, n):
+        return _classify_by_columns(v, u, work), first
+    return classify_weights(v, u, out=v), first
 
 
 def draw_breaks(
@@ -242,18 +290,16 @@ def draw_breaks(
     barycentric weights of the first breaking point, the one a single-shot
     trace prints.  The breaks are drawn into ``rows``, a C-contiguous
     (count, N) array a caller may reuse across draws (a new one if None),
-    and classified there, divided by ``u`` in place.  A solipsistic membrane
+    and classified there, divided by ``u`` in place; a draw of at least 1024
+    breaks with at most 8 outcomes is normalised and classified column by
+    column instead, through a scratch array, with the same bytes.  A solipsistic membrane
     breaks only at vertices, and a break at a vertex sits on every tension
     line at once; the solipsistic law resolves it to that vertex's own
     outcome, which is what makes the die faces equiprobable.  It builds no
     weight array and returns None for the weights.
     """
-    n = len(u)
-    if model.kind == "solipsistic":
-        return rng.integers(0, n, size=count), None
-    v = _break_rows(model, rng, np.empty((count, n)) if rows is None else rows)
-    first = v[0].copy()
-    return classify_weights(v, u, out=v), first
+    v = np.empty((count, len(u))) if rows is None else rows
+    return _draw_breaks(model, u, rng, v, np.empty(v.size))
 
 
 # --- the measurement process -------------------------------------------------

@@ -315,7 +315,9 @@ def classify_weights(v: np.ndarray, u: np.ndarray,
     the argmin unchanged, so a row need not be normalised (in floating point
     only ratios within rounding of a tie could flip); the batch sampler
     classifies unnormalised rows on this ground.  ``out``, if given,
-    receives the ratios v / u and may be ``v`` itself.
+    receives the ratios v / u and may be ``v`` itself.  A long chunk of
+    short rows is classified by ``_classify_by_columns`` instead, with the
+    same outcomes.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.divide(v, u, out=out)
@@ -325,3 +327,30 @@ def classify_weights(v: np.ndarray, u: np.ndarray,
     if zero.any():
         ratios[..., zero] = np.inf
     return np.argmin(ratios, axis=-1)
+
+
+def _classify_by_columns(v: np.ndarray, u: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``classify_weights(v, u)`` of a (count, N) array, one column at a time.
+
+    numpy's inner loop runs along a row, so rows of a few weights spend most
+    of their time in per-row overhead; here each operation runs down a whole
+    column.  ``work`` holds at least 2 * count floats.  The running minimum
+    is replaced only where a later column's ratio is strictly less, so the
+    first minimum wins, as in ``np.argmin``.  No ratio is NaN (a zero weight
+    of p makes its column inf), so the outcomes are argmin's, ties included.
+    """
+    count, n = v.shape
+    best, ratio = work[:count], work[count:2 * count]
+    outcomes = np.zeros(count, dtype=np.intp)
+    less = np.empty(count, dtype=bool)
+    for j in range(n):
+        column = best if j == 0 else ratio
+        if u[j] == 0.0:
+            column.fill(np.inf)
+        else:
+            np.divide(v[:, j], u[j], out=column)
+        if j > 0:
+            np.less(ratio, best, out=less)
+            np.minimum(best, ratio, out=best)
+            np.putmask(outcomes, less, j)
+    return outcomes

@@ -2,14 +2,16 @@
 
 Batches of membrane measurements are executed vectorized: breaking points
 are drawn as rows of barycentric weights (uniform ones up to scale) and
-classified against the landed state point in one argmin.  One thread runs
-about 7-19 million uniform trials per second at N = 8 down to N = 2,
-4.5-21 million cellular (50 cells) and 50-75 million solipsistic ones
-(2-vCPU Xeon VM, numpy 2.4).  Trials are organized in fixed-size chunks,
-each chunk drawing from its own derived random stream.  A batch keeps only
-the count of each outcome, added up chunk by chunk, so its memory does not
-grow with the number of trials and its counts are identical regardless of
-execution order or how many workers share the chunks.
+classified against the landed state point, a chunk of at most 8 outcomes
+column by column, a wider one in one argmin.  One thread runs about 9-29
+million uniform trials per second at N = 8 down to N = 2, 6-25 million
+cellular (50 cells) and 74-92 million solipsistic ones (2-vCPU Xeon VM,
+numpy 2.4, one traced mc-batch benchmark run).  Trials are organized in
+fixed-size chunks, each chunk drawing from its own derived random stream.
+A batch keeps only the count of each outcome, added up chunk by chunk, so
+its memory does not grow with the number of trials and its counts are
+identical regardless of execution order or how many workers share the
+chunks.
 
 An experiment is a list of jobs, each (job id, membrane model, trials), run
 on one prepared measurement of the state: a plain batch is one job, a
@@ -42,7 +44,7 @@ from .bloch import (
 from .dynamics import (
     MembraneModel,
     RandomSource,
-    draw_breaks,
+    _draw_breaks,
     prepare_measurement,
 )
 from .errors import ConfigError, DimensionError, OracleMismatchError
@@ -225,10 +227,11 @@ def sample_elementary_outcomes(
     def count_chunks(w: int) -> np.ndarray:
         counts = np.zeros(n, dtype=np.int64)
         rows = np.empty((min(CHUNK_TRIALS, trials), n))
+        work = np.empty(rows.size)
         for c in range(w, chunks, workers):
             size = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
             stream = source.chunk_stream(job, c)
-            outcomes = draw_breaks(model, plan.u, size, stream, rows[:size])[0]
+            outcomes = _draw_breaks(model, plan.u, stream, rows[:size], work)[0]
             counts += np.bincount(outcomes, minlength=n)
         return counts
 
@@ -335,12 +338,16 @@ def _run_jobs(state, observable, jobs, source, workers) -> tuple[np.ndarray, np.
     """The Born block weights, and block counts per ``(job id, model, trials)``.
 
     One cached preparation serves every job.  ``jobs`` may be a generator,
-    so that a job's membrane is built only when the job runs.
+    so that a job's membrane is built only when the job runs; each membrane
+    is dropped before the next is built.
     """
     plan = prepare_measurement(state, observable)
-    rows = [observable.block_sums(sample_elementary_outcomes(
-        state, observable, model, trials, source, job, workers
-    )) for job, model, trials in jobs]
+    rows = []
+    for job, model, trials in jobs:
+        rows.append(observable.block_sums(sample_elementary_outcomes(
+            state, observable, model, trials, source, job, workers
+        )))
+        del model
     return observable.block_sums(plan.born), np.array(rows, dtype=np.int64)
 
 
@@ -449,11 +456,23 @@ def _hotelling_check(
 
 
 def _random_membranes(source, cell_count, membranes, trials):
-    """Jobs on membranes whose cell weights are uniform on the probability simplex."""
+    """Jobs on membranes whose cell weights are uniform on the probability simplex.
+
+    The generator holds neither a yielded membrane nor its draw, so a
+    membrane the caller has dropped is freed before the next is built.
+    """
     for i in range(membranes):
-        e = source.membrane_stream(i).standard_exponential(cell_count)
-        e /= e.sum()  # normalized unit-rate exponentials
-        yield i, MembraneModel.cellular(e), trials
+        yield i, _random_membrane(source.membrane_stream(i), cell_count), trials
+
+
+def _random_membrane(rng, cell_count) -> MembraneModel:
+    """A membrane whose cell weights are normalized unit-rate exponentials.
+
+    The membrane keeps a frozen copy of the draw, which is freed on return.
+    """
+    e = rng.standard_exponential(cell_count)
+    e /= e.sum()
+    return MembraneModel.cellular(e)
 
 
 def universal_average_experiment(

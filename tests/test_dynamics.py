@@ -25,6 +25,8 @@ from hm_sim.dynamics import (
     RandomSource,
     _break_rows,
     _bucket_table,
+    _by_columns,
+    _draw_breaks,
     _find_cells,
     draw_breaks,
     luders_posterior,
@@ -59,7 +61,7 @@ def break_weights(model, n, count, rng):
     The sampler draws each break as a row it only needs up to scale; the
     weights are those rows normalised.
     """
-    v = _break_rows(model, rng, np.empty((count, n)))
+    v = _break_rows(model, rng, np.empty((count, n)), np.empty(count * n))
     return v / v.sum(axis=1, keepdims=True)
 
 
@@ -202,6 +204,52 @@ def test_only_draws_as_long_as_the_bucket_table_build_it():
     assert "_buckets" not in vars(model)
     draw_breaks(model, u, _BUCKETS, RandomSource(1).trial_stream(0))
     assert "_buckets" in vars(model)
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+def test_numpy_adds_a_short_row_left_to_right(length):
+    # The cellular column route sums its exponentials column by column; it
+    # keeps the row route's bytes only while numpy sums rows of up to 7
+    # floats in that order.  Rows of 8 or more are summed pairwise.
+    rng = np.random.default_rng(40 + length)
+    for count in (1, 2, 7, 1023, 1024, 8192):
+        e = rng.standard_exponential((count, length))
+        total = e[:, 0].copy()
+        for j in range(1, length):
+            total += e[:, j]
+        np.testing.assert_array_equal(total, e.sum(axis=1))
+
+
+def test_the_column_route_takes_long_draws_of_at_most_8_outcomes():
+    assert _by_columns(8192, 2) and _by_columns(8192, 8) and _by_columns(1024, 6)
+    assert not _by_columns(1023, 6)  # a short draw
+    assert not _by_columns(1, 6)  # a single shot
+    assert not _by_columns(8192, 9)  # a wide row
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_column_and_row_routes_draw_the_same_bytes(n, monkeypatch):
+    # Every model, a landed point with a zero weight and one without, draws
+    # on both sides of the count cut; weights and outcomes agree bit for bit.
+    rng = np.random.default_rng(70 + n)
+    zero_u = rng.dirichlet(np.ones(n))
+    zero_u[n // 2] = 0.0
+    models = (MembraneModel.uniform(), MembraneModel.cellular(rng.dirichlet(np.ones(50))),
+              MembraneModel.cellular(rng.dirichlet(np.ones(5000))))
+    for u in (rng.dirichlet(np.ones(n)), zero_u):
+        for model in models:
+            for count in (1024, 5000, 8192):
+                drawn = []
+                for columns in (True, False):
+                    monkeypatch.setattr(hm_sim.dynamics, "_by_columns",
+                                        lambda c, k, columns=columns: columns)
+                    rows = _break_rows(model, RandomSource(n).chunk_stream(count, 0),
+                                       np.empty((count, n)), np.full(count * n, np.nan))
+                    outcomes, _ = _draw_breaks(model, u, RandomSource(n).chunk_stream(count, 0),
+                                               np.empty((count, n)), np.full(count * n, np.nan))
+                    drawn.append((rows, outcomes))
+                for by_columns, by_rows in zip(*drawn):
+                    np.testing.assert_array_equal(by_columns, by_rows)
 
 
 @pytest.mark.parametrize("n,m", [(2, 6), (3, 9)])

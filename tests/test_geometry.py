@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     random_density,
@@ -28,6 +30,7 @@ from hm_sim.errors import (
 from hm_sim.geometry import (
     MeasurementSimplex,
     Observable,
+    _classify_by_columns,
     barycentric_coordinates,
     born_probabilities,
     build_measurement_simplex,
@@ -305,6 +308,35 @@ def test_classification_partitions_match_weights(n):
     freq = np.bincount(outcomes, minlength=n) / trials
     band = 4.0 * np.sqrt(u * (1 - u) / trials)
     assert np.all(np.abs(freq - u) <= band)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 8),
+    count=st.integers(1, 8192),  # up to harness.CHUNK_TRIALS
+    seed=st.integers(0, 2**32 - 1),
+    tie_share=st.sampled_from((0.0, 0.5, 1.0)),
+    zero_u=st.integers(0, 7),
+)
+def test_column_classifier_is_the_row_argmin(n, count, seed, tie_share, zero_u):
+    # Small integer weights make exact ties, some breaks are all zeros, and
+    # up to n - 1 weights of p are zero; where u has no zero, the reference
+    # is plain np.argmin(v / u, axis=-1).
+    rng = np.random.default_rng(seed)
+    v = rng.standard_exponential((count, n))
+    ties = rng.random(count) < tie_share
+    v[ties] = rng.integers(0, 3, (int(ties.sum()), n))
+    v[rng.random(count) < 0.05] = 0.0
+    u = rng.choice((0.25, 0.5, 1.0), n) if tie_share else rng.dirichlet(np.ones(n))
+    u[rng.permutation(n)[:min(zero_u, n - 1)]] = 0.0
+    work = np.full(2 * count + 3, np.nan)
+    got = _classify_by_columns(v, u, work)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = v / u
+    ratios[:, u == 0.0] = np.inf
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, np.argmin(ratios, axis=-1))
+    np.testing.assert_array_equal(got, classify_weights(v, u))
 
 
 def test_classify_rejects_points_outside_simplex():

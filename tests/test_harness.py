@@ -240,7 +240,7 @@ def oracle_chunk_outcomes(model, u, count, rng):
     return np.argmin(ratios, axis=-1)
 
 
-@pytest.mark.parametrize("n", (2, 3, 6, 8))
+@pytest.mark.parametrize("n", (2, 3, 6, 8, 9, 12))
 def test_sampler_draws_the_outcomes_of_the_normalised_oracle(n, monkeypatch):
     # Full chunks and a partial chunk shorter than the bucket table; a real
     # landed point and one with an exact zero weight.  A state's zero weight
