@@ -199,11 +199,13 @@ def _by_columns(count: int, n: int) -> bool:
 
 def _cellular_weights(
     rng: np.random.Generator, model: MembraneModel, v: np.ndarray, work: np.ndarray
-) -> np.ndarray:
+) -> None:
     """Barycentric weights of len(v) breaks of a membrane of m > 1 cells, in v.
 
-    By columns, the exponentials of the opposite face are drawn into
-    ``work``, which holds at least len(v) * (N - 1) floats.
+    The exponentials of the opposite face are drawn into ``work``, which
+    holds at least len(v) * (N - 1) floats.  The two routes differ only in
+    how a row is summed and divided: a column loop would cost a wide single
+    shot a ufunc call per weight.
     """
     count, n = v.shape
     m = model.cell_count
@@ -223,13 +225,12 @@ def _cellular_weights(
     np.subtract(1.0, w0, out=x)
     if n == 2:
         v[:, 1] = x
-        return v
-    if not _by_columns(count, n):
-        e = rng.standard_exponential((count, n - 1))
-        rest = np.divide(e, e.sum(axis=1, keepdims=True), out=v[:, 1:])
-        rest *= x[:, None]
-        return v
+        return
     e = rng.standard_exponential(out=work[:count * (n - 1)].reshape(count, n - 1))
+    if not _by_columns(count, n):
+        np.divide(e, e.sum(axis=1, keepdims=True), out=v[:, 1:])
+        v[:, 1:] *= x[:, None]
+        return
     # Each weight is still (e / sum) * (1 - w0), the sum added left to right.
     total = e[:, 0].copy()
     for j in range(1, n - 1):
@@ -237,69 +238,45 @@ def _cellular_weights(
     for j in range(n - 1):
         np.divide(e[:, j], total, out=v[:, j + 1])
         v[:, j + 1] *= x
-    return v
 
 
-def _break_rows(
-    model: MembraneModel, rng: np.random.Generator, v: np.ndarray, work: np.ndarray
-) -> np.ndarray:
-    """Non-solipsistic breaks as the rows of ``v``, a (count, N) array.
-
-    Row i becomes a positive multiple of the barycentric weights of break i,
-    and row 0 exactly them.  A uniform break is a row of unit-rate
-    exponentials, which normalised is uniform on the simplex; the classifier
-    ignores a row's scale, so only the row a single-shot trace prints is
-    normalised.  A single cell spans the whole simplex, so that membrane
-    draws the uniform rows, draw for draw.  ``work`` is scratch space of
-    v.size floats.
-    """
-    if model.kind == "cellular" and model.cell_count > 1:
-        return _cellular_weights(rng, model, v, work)
-    rng.standard_exponential(out=v)
-    v[:1] /= v[:1].sum(axis=1, keepdims=True)
-    return v
-
-
-def _draw_breaks(
+def draw_breaks(
     model: MembraneModel, u: np.ndarray, rng: np.random.Generator, v: np.ndarray,
     work: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """``draw_breaks`` into the caller's (count, N) rows ``v``.
+    """Draw len(v) membrane breaks into ``v``; return their outcomes and the first's weights.
 
-    ``work`` is scratch space of v.size floats for the column route; the
-    batch sampler keeps one of each array per worker.
+    ``u`` holds the barycentric weights of the landed state point.  ``v``, a
+    C-contiguous (count, N) array, and ``work``, scratch space of v.size
+    floats, are the caller's: a single shot passes new ones, the batch
+    sampler one of each per worker.  The draw leaves row i of ``v`` a
+    positive multiple of the barycentric weights of break i, and row 0
+    exactly them, the weights it returns and a single-shot trace prints.  A
+    uniform break is a row of unit-rate exponentials, which normalised is
+    uniform on the simplex; the classifier ignores a row's scale, so only
+    row 0 is normalised.  A single cell spans the whole simplex, so that
+    membrane draws the uniform rows, draw for draw.  The outcomes are
+    elementary outcome indices, classified in ``work``; a draw of at least
+    1024 breaks with at most 8 outcomes is normalised and classified column
+    by column, with the same bytes.  A solipsistic membrane breaks only at
+    vertices, and a break at a vertex sits on every tension line at once;
+    the solipsistic law resolves it to that vertex's own outcome, which is
+    what makes the die faces equiprobable.  It leaves ``v`` untouched and
+    returns None for the weights.
     """
     count, n = v.shape
     if model.kind == "solipsistic":
         return rng.integers(0, n, size=count), None
-    _break_rows(model, rng, v, work)
-    first = v[0].copy()
+    if model.kind == "cellular" and model.cell_count > 1:
+        _cellular_weights(rng, model, v, work)
+    else:
+        rng.standard_exponential(out=v)
+        v[:1] /= v[:1].sum(axis=1, keepdims=True)
     if _by_columns(count, n):
-        return _classify_by_columns(v, u, work), first
-    return classify_weights(v, u, out=v), first
-
-
-def draw_breaks(
-    model: MembraneModel, u: np.ndarray, count: int, rng: np.random.Generator,
-    rows: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw ``count`` membrane breaks; return their outcomes and the first's weights.
-
-    ``u`` holds the barycentric weights of the landed state point.  The
-    outcomes are elementary outcome indices; the weights are the N
-    barycentric weights of the first breaking point, the one a single-shot
-    trace prints.  The breaks are drawn into ``rows``, a C-contiguous
-    (count, N) array a caller may reuse across draws (a new one if None),
-    and classified there, divided by ``u`` in place; a draw of at least 1024
-    breaks with at most 8 outcomes is normalised and classified column by
-    column instead, through a scratch array, with the same bytes.  A solipsistic membrane
-    breaks only at vertices, and a break at a vertex sits on every tension
-    line at once; the solipsistic law resolves it to that vertex's own
-    outcome, which is what makes the die faces equiprobable.  It builds no
-    weight array and returns None for the weights.
-    """
-    v = np.empty((count, len(u))) if rows is None else rows
-    return _draw_breaks(model, u, rng, v, np.empty(v.size))
+        outcomes = _classify_by_columns(v, u, work)
+    else:
+        outcomes = classify_weights(v, u, out=work[:v.size].reshape(v.shape))
+    return outcomes, v[0].copy()
 
 
 # --- the measurement process -------------------------------------------------
@@ -392,7 +369,7 @@ class MeasurementPlan:
                     "a solipsistic membrane can break into outcome block "
                     f"{self._unreachable_block}, which has probability 0 for this state"
                 )
-            outcomes, weights = draw_breaks(model, self.u, 1, rng)
+            outcomes, weights = draw_breaks(model, self.u, rng, np.empty((1, n)), np.empty(n))
             elementary = int(outcomes[0])
         break_w = np.eye(n)[elementary] if weights is None else weights
         block = obs.degeneracy_partition[obs.block_index[elementary]]

@@ -44,7 +44,7 @@ from .bloch import (
 from .dynamics import (
     MembraneModel,
     RandomSource,
-    _draw_breaks,
+    draw_breaks,
     prepare_measurement,
 )
 from .errors import ConfigError, DimensionError, OracleMismatchError
@@ -204,9 +204,11 @@ def sample_elementary_outcomes(
 ) -> np.ndarray:
     """N int64 counts: how often each elementary outcome occurs in ``trials`` runs.
 
-    Each chunk is counted as soon as it is drawn, so memory does not grow
-    with ``trials``.  ``job`` namespaces the random streams so distinct
-    experiment parts sharing one master seed stay independent.  ``workers``
+    Each worker draws its chunks with ``draw_breaks`` into one row array and
+    one scratch array of its own and counts each as soon as it is drawn, so
+    memory does not grow with ``trials``.  ``job`` namespaces the random
+    streams so distinct experiment parts sharing one master seed stay
+    independent.  ``workers``
     only affects wall time: worker w counts chunks w, w + workers, ..., and
     integer sums are exact in any order.  No more threads run than chunks
     or CPUs, and a single one needs no pool.  The measurement is
@@ -231,7 +233,7 @@ def sample_elementary_outcomes(
         for c in range(w, chunks, workers):
             size = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
             stream = source.chunk_stream(job, c)
-            outcomes = _draw_breaks(model, plan.u, stream, rows[:size], work)[0]
+            outcomes = draw_breaks(model, plan.u, stream, rows[:size], work)[0]
             counts += np.bincount(outcomes, minlength=n)
         return counts
 

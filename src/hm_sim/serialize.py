@@ -15,6 +15,7 @@ import contextlib
 import json
 import math
 import operator
+import reprlib
 import sys
 from importlib import resources
 
@@ -268,7 +269,10 @@ def _check(payload: dict, kind: str, error: type) -> None:
     except RecursionError as err:  # from jsonschema's repr of a deeply nested value
         raise error(f"cannot check {kind}: {err}") from None
     if found is not None:
-        raise error(f"{kind} field {_field(found.absolute_path)}: {found.message}") from found
+        message = found.message
+        if len(message) > 160:  # jsonschema prints the whole value; print its outline
+            message = message.replace(repr(found.instance), reprlib.repr(found.instance), 1)
+        raise error(f"{kind} field {_field(found.absolute_path)}: {message}") from found
 
 
 def validate_report_payload(payload: dict) -> None:

@@ -860,6 +860,18 @@ def test_a_deeply_nested_config_exits_2_with_one_error_line(tmp_path, capsys, de
     assert err.startswith("error: ") and err.count("\n") == 1, err[-200:]
 
 
+@pytest.mark.parametrize("depth", [60, 500])
+def test_a_deeply_nested_rejected_value_prints_a_short_line(tmp_path, capsys, depth):
+    # jsonschema's message holds the whole bad value; a long one is printed in outline.
+    config = _measure_config(state={"kind": "pure", "re": "NESTED"})
+    code, out, err = run_cli(capsys, "measure", "--config",
+                             _nested_config(tmp_path, config, depth))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) <= 201, err
+    assert err.startswith("error: config field state/re/0: ")
+    assert err.endswith(" is not of type 'number'\n")
+
+
 @pytest.mark.parametrize("depth", [500, 1000])
 def test_a_deeply_nested_unknown_root_key_runs_or_exits_2(tmp_path, capsys, depth):
     # The schema admits unknown root keys, so the run is the plain one, as long as

@@ -23,10 +23,8 @@ from hm_sim.dynamics import (
     _BUCKETS,
     MembraneModel,
     RandomSource,
-    _break_rows,
     _bucket_table,
     _by_columns,
-    _draw_breaks,
     _find_cells,
     draw_breaks,
     luders_posterior,
@@ -61,7 +59,8 @@ def break_weights(model, n, count, rng):
     The sampler draws each break as a row it only needs up to scale; the
     weights are those rows normalised.
     """
-    v = _break_rows(model, rng, np.empty((count, n)), np.empty(count * n))
+    v = np.empty((count, n))
+    draw_breaks(model, np.full(n, 1 / n), rng, v, np.empty(count * n))
     return v / v.sum(axis=1, keepdims=True)
 
 
@@ -127,7 +126,8 @@ def test_solipsistic_sampling_hits_only_vertices_uniformly():
     trials = 30000
     # A solipsistic break is a vertex: it has an outcome and no interior weights.
     outcomes, weights = draw_breaks(
-        MembraneModel.solipsistic(), np.full(6, 1 / 6), trials, rng
+        MembraneModel.solipsistic(), np.full(6, 1 / 6), rng, np.empty((trials, 6)),
+        np.empty(trials * 6),
     )
     assert weights is None
     freq = np.bincount(outcomes, minlength=6) / trials
@@ -200,9 +200,11 @@ def test_bucket_lookup_equals_searchsorted(name):
 def test_only_draws_as_long_as_the_bucket_table_build_it():
     model = MembraneModel.cellular(np.full(50, 0.02))
     u = np.full(3, 1 / 3)
-    draw_breaks(model, u, _BUCKETS - 1, RandomSource(1).trial_stream(0))
+    draw_breaks(model, u, RandomSource(1).trial_stream(0), np.empty((_BUCKETS - 1, 3)),
+                np.empty((_BUCKETS - 1) * 3))
     assert "_buckets" not in vars(model)
-    draw_breaks(model, u, _BUCKETS, RandomSource(1).trial_stream(0))
+    draw_breaks(model, u, RandomSource(1).trial_stream(0), np.empty((_BUCKETS, 3)),
+                np.empty(_BUCKETS * 3))
     assert "_buckets" in vars(model)
 
 
@@ -243,13 +245,37 @@ def test_column_and_row_routes_draw_the_same_bytes(n, monkeypatch):
                 for columns in (True, False):
                     monkeypatch.setattr(hm_sim.dynamics, "_by_columns",
                                         lambda c, k, columns=columns: columns)
-                    rows = _break_rows(model, RandomSource(n).chunk_stream(count, 0),
-                                       np.empty((count, n)), np.full(count * n, np.nan))
-                    outcomes, _ = _draw_breaks(model, u, RandomSource(n).chunk_stream(count, 0),
-                                               np.empty((count, n)), np.full(count * n, np.nan))
+                    rows = np.empty((count, n))
+                    outcomes, _ = draw_breaks(model, u, RandomSource(n).chunk_stream(count, 0),
+                                              rows, np.full(count * n, np.nan))
                     drawn.append((rows, outcomes))
                 for by_columns, by_rows in zip(*drawn):
                     np.testing.assert_array_equal(by_columns, by_rows)
+
+
+@pytest.mark.parametrize("count", (100, 1024))
+def test_draw_breaks_leaves_the_break_rows_in_v(count):
+    # On the row route (100) and the column route (1024), v keeps the breaks,
+    # row 0 normalised, and the outcomes are those rows' own classification.
+    n = 6
+    rng = np.random.default_rng(90)
+    u = rng.dirichlet(np.ones(n))
+    models = (MembraneModel.uniform(), MembraneModel.cellular([1.0]),
+              MembraneModel.cellular(rng.dirichlet(np.ones(50))))
+    for model in models:
+        v = np.empty((count, n))
+        outcomes, first = draw_breaks(model, u, RandomSource(7).chunk_stream(0, count), v,
+                                      np.empty(v.size))
+        np.testing.assert_array_equal(first, v[0])
+        assert abs(v[0].sum() - 1.0) <= 1e-12 and np.all(v > 0.0)
+        np.testing.assert_array_equal(outcomes, hm_sim.geometry.classify_weights(v, u))
+        if model.cell_count == 1:
+            # The breaks are the stream's exponentials, only row 0 divided by its sum.
+            e = RandomSource(7).chunk_stream(0, count).standard_exponential((count, n))
+            e[0] /= e[0].sum()
+            np.testing.assert_array_equal(v, e)
+        else:
+            np.testing.assert_allclose(v.sum(axis=1), 1.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n,m", [(2, 6), (3, 9)])

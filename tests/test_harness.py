@@ -215,10 +215,11 @@ def oracle_chunk_outcomes(model, u, count, rng):
     Uniform rows are divided by their sums, cellular cells come from a plain
     ``searchsorted`` over the cumulative weights and the weights are stacked
     column by column, then every row is classified by argmin(v / u).
+    Returns the outcomes and the weights (None for a solipsistic membrane).
     """
     n = len(u)
     if model.kind == "solipsistic":
-        return rng.integers(0, n, size=count)
+        return rng.integers(0, n, size=count), None
     m = model.cell_count
     if model.kind == "uniform" or m == 1:
         e = rng.standard_exponential((count, n))
@@ -237,7 +238,7 @@ def oracle_chunk_outcomes(model, u, count, rng):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = v / u
     ratios[:, u == 0.0] = np.inf
-    return np.argmin(ratios, axis=-1)
+    return np.argmin(ratios, axis=-1), v
 
 
 @pytest.mark.parametrize("n", (2, 3, 6, 8, 9, 12))
@@ -272,9 +273,15 @@ def test_sampler_draws_the_outcomes_of_the_normalised_oracle(n, monkeypatch):
             expected = []
             for c in range(3):
                 size = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
-                oracle = oracle_chunk_outcomes(model, p.u, size, source.chunk_stream(4, c))
-                drawn, _ = draw_breaks(model, p.u, size, source.chunk_stream(4, c))
+                oracle, weights = oracle_chunk_outcomes(
+                    model, p.u, size, source.chunk_stream(4, c)
+                )
+                v = np.empty((size, n))
+                drawn, _ = draw_breaks(model, p.u, source.chunk_stream(4, c), v,
+                                       np.empty(v.size))
                 np.testing.assert_array_equal(drawn, oracle)
+                if model.cell_count > 1:
+                    np.testing.assert_array_equal(v, weights)
                 expected.append(oracle)
             expected = np.bincount(np.concatenate(expected), minlength=n)
             for workers in (1, 2):
@@ -285,6 +292,26 @@ def test_sampler_draws_the_outcomes_of_the_normalised_oracle(n, monkeypatch):
                 np.testing.assert_array_equal(got, expected)
             if p is plans[1] and model.kind != "solipsistic":
                 assert got[n // 2] == 0
+
+
+@pytest.mark.parametrize("n", (2, 3, 6, 8, 9, 12))
+def test_cellular_draws_leave_the_oracle_weights_bit_for_bit(n):
+    # Both routes, on both sides of the bucket-table cut: the rows a cellular
+    # draw leaves in v are the oracle's weights, not just its outcomes.
+    rng = np.random.default_rng(80 + n)
+    u = rng.dirichlet(np.ones(n))
+    for m in (50, 5000):
+        model = MembraneModel.cellular(rng.dirichlet(np.ones(m)))
+        for count in (1, 100, 1024, 8192):
+            oracle, weights = oracle_chunk_outcomes(
+                model, u, count, RandomSource(n).chunk_stream(m, count)
+            )
+            v = np.empty((count, n))
+            drawn, first = draw_breaks(model, u, RandomSource(n).chunk_stream(m, count), v,
+                                       np.empty(v.size))
+            np.testing.assert_array_equal(v, weights)
+            np.testing.assert_array_equal(first, weights[0])
+            np.testing.assert_array_equal(drawn, oracle)
 
 
 @pytest.mark.parametrize("kind", ("uniform", "cellular", "solipsistic"))
