@@ -17,6 +17,7 @@ linear solve here.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,6 +42,10 @@ HULL_TOL = 1e-8        # max distance from the affine hull for membrane points
 CLAMP_TOL = 1e-10      # negative barycentric weight treated as exact zero
 SIMPLEX_TOL = 1e-10    # vertex norm / inner-product / orthogonality checks
 
+# Live simplexes by the bytes of their eigenstate amplitudes; an entry dies
+# with the last observable or plan that holds its simplex.
+_simplexes = weakref.WeakValueDictionary()
+
 
 @dataclass(frozen=True, eq=False)
 class Observable:
@@ -52,7 +57,9 @@ class Observable:
     position of its block (int64) and ``block_labels`` holds each block's
     label; ``block_sums`` folds N per-eigenstate values into their blocks.
     ``simplex`` is the observable's measurement simplex, the one
-    membrane every measurement of it shares; it is built on first use.
+    membrane every measurement of it shares.  It depends on the eigenstates
+    alone: observables with the same eigenstate bits, whatever their
+    labels, share one simplex while any of them holds it.
     """
 
     dimension: int
@@ -100,7 +107,11 @@ class Observable:
 
     @cached_property
     def simplex(self) -> MeasurementSimplex:
-        return build_measurement_simplex(self)
+        key = b"".join(s.amplitudes.tobytes() for s in self.eigenstates)
+        simplex = _simplexes.get(key)
+        if simplex is None:
+            simplex = _simplexes[key] = build_measurement_simplex(self)
+        return simplex
 
     def block_sums(self, x: np.ndarray) -> np.ndarray:
         """The sum of ``x`` over each degeneracy block, in block order."""
@@ -151,7 +162,8 @@ class MeasurementSimplex:
     An orthonormal frame of the affine hull is computed once (Gram-Schmidt
     over the edge vectors n_i - n_1 in index order) and cached; after
     construction the object is read-only and shareable across workers.
-    An observable builds its own once, as ``Observable.simplex``.
+    Observables with the same eigenstate bits share one, as
+    ``Observable.simplex``.
     """
 
     dimension: int

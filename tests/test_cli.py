@@ -308,7 +308,8 @@ def _patch_everywhere(monkeypatch, owner, name, replacement):
             monkeypatch.setattr(module, name, replacement)
 
 
-def test_verify_born_builds_one_simplex_for_all_its_states(monkeypatch, capsys):
+def test_verify_born_builds_one_simplex_for_all_its_states(monkeypatch, capsys,
+                                                          no_live_simplexes):
     build = hm_sim.geometry.build_measurement_simplex
     calls = []
 

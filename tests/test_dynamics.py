@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from hm_sim.errors import (
 )
 from hm_sim.geometry import (
     Observable,
+    barycentric_coordinates,
     born_probabilities,
     build_measurement_simplex,
     canonical_observable,
@@ -594,9 +596,12 @@ def test_the_plan_cache_is_bounded_and_keeps_no_error(monkeypatch):
     assert prepare_measurement(d, obs).oracle_gap <= 1e-9
 
 
-def test_plan_with_another_observables_simplex_fails_the_oracle(monkeypatch):
+def test_plan_with_another_observables_simplex_fails_the_oracle(monkeypatch, no_live_simplexes):
     d = pure_to_density(PureState.basis_state(2, 0))
     prepare_measurement(d, spin_observable([1.0, 0.0, 1.0]))
+    # The cached plan keeps that observable's simplex alive; with an empty
+    # registry the second observable must build its own.
+    monkeypatch.setattr(hm_sim.geometry, "_simplexes", weakref.WeakValueDictionary())
     foreign = make_simplex(2)
     monkeypatch.setattr(
         hm_sim.geometry, "build_measurement_simplex", lambda observable: foreign
@@ -615,7 +620,7 @@ def test_a_nan_oracle_fails_the_plan(monkeypatch):
         prepare_measurement(DensityOperator.maximally_mixed(2), canonical_observable(2))
 
 
-def test_one_observable_builds_its_simplex_once(monkeypatch):
+def test_one_observable_builds_its_simplex_once(monkeypatch, no_live_simplexes):
     from hm_sim.harness import sample_elementary_outcomes
 
     build = hm_sim.geometry.build_measurement_simplex
@@ -640,6 +645,47 @@ def test_one_observable_builds_its_simplex_once(monkeypatch):
         run_measurement(d, obs, model, RandomSource(9).trial_stream(t))
     sample_elementary_outcomes(d, obs, model, 100, RandomSource(9))
     assert len(calls) == 1 and calls[0] is obs
+
+
+def _random_observable(seed, n):
+    from helpers import random_orthonormal_frame
+
+    frame = random_orthonormal_frame(np.random.default_rng(seed), n)
+    states = tuple(PureState(n, frame[:, k]) for k in range(n))
+    return Observable(n, states, tuple(float(k) for k in range(n)))
+
+
+def test_observables_with_one_eigenbasis_share_its_simplex(no_live_simplexes):
+    d = pure_to_density(PureState.normalized([0.6, 0.48, 0.64]))
+    plain, degenerate = canonical_observable(3), canonical_observable(3, (1.0, 1.0, 2.0))
+    assert plain.simplex is degenerate.simplex
+    fresh = build_measurement_simplex(canonical_observable(3))
+    u = barycentric_coordinates(project_onto_membrane(density_to_bloch(d), fresh), fresh)
+    for obs in (plain, degenerate):
+        assert prepare_measurement(d, obs).u.tobytes() == u.tobytes()
+
+
+def test_a_foreign_simplex_on_a_new_basis_fails_the_oracle(monkeypatch, no_live_simplexes):
+    foreign = make_simplex(3)
+    monkeypatch.setattr(
+        hm_sim.geometry, "build_measurement_simplex", lambda observable: foreign
+    )
+    obs = _random_observable(25, 3)
+    with pytest.raises(OracleMismatchError):
+        prepare_measurement(pure_to_density(PureState.normalized([0.6, 0.48, 0.64])), obs)
+    assert obs.simplex is foreign
+
+
+def test_a_shared_simplex_dies_with_its_last_holder(no_live_simplexes):
+    obs = _random_observable(32, 32)
+    d = pure_to_density(PureState.basis_state(32, 0))
+    prepare_measurement(d, obs)  # the plan cache holds obs, and so its simplex
+    simplex = weakref.ref(obs.simplex)
+    assert len(hm_sim.geometry._simplexes) == 1
+    del obs
+    assert simplex() is not None
+    prepare_measurement.cache_clear()
+    assert simplex() is None and len(hm_sim.geometry._simplexes) == 0
 
 
 def test_born_identity_max_gap_is_the_plans_gap():
@@ -685,7 +731,7 @@ def test_spin_machine_certain_at_poles():
         spin_machine_measure(up, [0.0, 0.0, 0.0], model, RandomSource(19).trial_stream(0))
 
 
-def test_spin_machine_builds_one_simplex_per_axis(monkeypatch):
+def test_spin_machine_builds_one_simplex_per_axis(monkeypatch, no_live_simplexes):
     build = hm_sim.geometry.build_measurement_simplex
     calls = []
 
@@ -694,7 +740,6 @@ def test_spin_machine_builds_one_simplex_per_axis(monkeypatch):
         return build(observable)
 
     monkeypatch.setattr(hm_sim.geometry, "build_measurement_simplex", counting)
-    hm_sim.dynamics._spin_plan_of_bits.cache_clear()
     r = BlochVector(2, np.array([0.3, 0.4, 0.5]))
     for t in range(200):
         spin_machine_measure(r, [0.2, -0.3, 0.9], MembraneModel.uniform(),
@@ -719,6 +764,12 @@ def test_spin_machine_keeps_the_sign_of_a_zero_axis_component():
                 bloch_to_density(r), observable, model, RandomSource(21).trial_stream(t))
             assert dumps_canonical(trace_to_json(trace)) == dumps_canonical(trace_to_json(fresh))
             assert outcome[0] == (-1.0 if label > 0 else 1.0)
+
+
+def test_axes_that_differ_in_the_sign_of_a_zero_get_two_simplexes(no_live_simplexes):
+    minus, plus = spin_observable([-1.0, -0.0, 0.0]), spin_observable([-1.0, 0.0, 0.0])
+    assert minus.simplex is not plus.simplex
+    assert minus.simplex.vertices.tobytes() != plus.simplex.vertices.tobytes()
 
 
 @pytest.mark.parametrize("axis, error", [

@@ -51,7 +51,7 @@ ARRAY_HOLDERS = {
     "PureState": lambda: hm_sim.PureState.normalized([1.0, 1.0]),
     "BlochVector": lambda: hm_sim.BlochVector(2, np.array([0.0, 0.0, 1.0])),
     "Observable": _observable,
-    "MeasurementSimplex": lambda: _observable().simplex,
+    "MeasurementSimplex": lambda: hm_sim.build_measurement_simplex(_observable()),
     "MembraneModel": lambda: hm_sim.MembraneModel.cellular([0.25, 0.75]),
     "CollapseTrace": _trace,
     "MeasurementPlan": lambda: prepare_measurement(_mixed(), _observable()),
