@@ -240,14 +240,10 @@ def project_onto_membrane(r: BlochVector, simplex: MeasurementSimplex) -> BlochV
 def project_onto_face(
     point: BlochVector, simplex: MeasurementSimplex, block: tuple[int, ...]
 ) -> BlochVector:
-    """Orthogonal projection of a point onto the face spanned by a vertex subset."""
+    """Orthogonal projection onto the face of a vertex subset (one vertex: itself, bit for bit)."""
     verts = simplex.vertices[list(block)]
-    if len(block) == 1:
-        return BlochVector(point.dimension, verts[0])
-    return BlochVector(
-        point.dimension,
-        _affine_projection(point.coordinates, verts[0], _orthonormal_frame(verts)),
-    )
+    face = _affine_projection(point.coordinates, verts[0], _orthonormal_frame(verts))
+    return BlochVector(point.dimension, face)
 
 
 def _clamped(raw: np.ndarray) -> np.ndarray:

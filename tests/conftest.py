@@ -1,7 +1,5 @@
 """Fixtures shared by the test suite."""
 
-import weakref
-
 import pytest
 
 import hm_sim.dynamics
@@ -9,13 +7,15 @@ import hm_sim.geometry
 
 
 @pytest.fixture
-def no_live_simplexes(monkeypatch):
+def no_live_simplexes():
     """An empty simplex registry and empty plan caches.
 
     Observables with the same eigenstate bits share one simplex while any
     of them holds it, so a test that counts builds starts here: then each
     new basis builds its simplex once, whatever earlier tests left alive.
+    The module's own registry is emptied in place, not replaced, so a test
+    sees the registry the module declares.
     """
-    monkeypatch.setattr(hm_sim.geometry, "_simplexes", weakref.WeakValueDictionary())
+    hm_sim.geometry._simplexes.clear()
     hm_sim.dynamics.prepare_measurement.cache_clear()
     hm_sim.dynamics._spin_plan_of_bits.cache_clear()

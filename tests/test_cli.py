@@ -609,6 +609,24 @@ def test_config_that_is_not_utf8_exits_2_without_traceback(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_a_config_that_is_not_an_object_exits_2_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[1, 2]")
+    assert run_cli(capsys, "measure", "--config", str(cfg)) == (
+        2, "", f"error: config {cfg} must hold a JSON object\n")
+
+
+def test_a_spin_axis_observable_beyond_dimension_2_exits_2_with_one_line(tmp_path, capsys):
+    config = _measure_config(dimension=3,
+                             state={"kind": "preset", "name": "maximally_mixed"},
+                             observable={"kind": "spin_axis", "axis": [0.0, 0.0, 1.0]})
+    validate_config_payload(config)  # the schema accepts it; the resolver does not
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(capsys, "measure", "--config", str(cfg)) == (
+        2, "", "error: spin_axis observables require dimension 2\n")
+
+
 def test_measure_normalizes_amplitudes_whose_squares_overflow(tmp_path, capsys):
     # |a|^2 overflows a double here, but the state is just [1, 1]/sqrt(2).
     cfg = tmp_path / "config.json"

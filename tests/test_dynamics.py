@@ -13,6 +13,7 @@ from helpers import random_density, random_pure
 import hm_sim.dynamics
 import hm_sim.geometry
 from hm_sim.bloch import (
+    EIGEN_TOL,
     BlochVector,
     DensityOperator,
     PureState,
@@ -686,6 +687,44 @@ def test_a_shared_simplex_dies_with_its_last_holder(no_live_simplexes):
     assert simplex() is not None
     prepare_measurement.cache_clear()
     assert simplex() is None and len(hm_sim.geometry._simplexes) == 0
+
+
+def _edge_states():
+    """States that ``DensityOperator`` accepts at the edge of its eigenvalue bound.
+
+    For N in (2, 3, 6), k eigenvalues at -0.9 EIGEN_TOL and N - k equal ones
+    summing to 1 + 0.9 k EIGEN_TOL, in the canonical basis and in a random
+    one; at k = N - 1 the point is 0.9 N EIGEN_TOL beyond the unit sphere.
+    Then an N=3 state whose diagonal is imaginary within the 1e-12 bound.
+    """
+    from helpers import random_orthonormal_frame
+
+    low = -0.9 * EIGEN_TOL
+    for n in (2, 3, 6):
+        frame = random_orthonormal_frame(np.random.default_rng(1400 + n), n)
+        for k in range(1, n):
+            eigenvalues = np.array([(1.0 - k * low) / (n - k)] * (n - k) + [low] * k)
+            for basis, u in (("canonical", np.eye(n)), ("random", frame)):
+                matrix = (u * eigenvalues) @ u.conj().T
+                yield pytest.param(n, matrix, id=f"n{n}-k{k}-{basis}")
+    imaginary = 1j * np.diag([0.49e-12, 0.49e-12, -0.49e-12])
+    yield pytest.param(3, np.eye(3) / 3 + imaginary, id="n3-imaginary-diagonal")
+
+
+@pytest.mark.parametrize("n, matrix", _edge_states())
+def test_every_accepted_state_maps_prepares_and_measures(n, matrix):
+    from hm_sim.harness import sample_elementary_outcomes
+
+    state = DensityOperator(n, matrix)
+    density_to_bloch(state)
+    obs = canonical_observable(n)  # non-degenerate: every posterior is a pure state
+    prepare_measurement(state, obs)
+    for model in (MembraneModel.uniform(), MembraneModel.cellular([0.2] * 5)):
+        for t in range(20):
+            run_measurement(state, obs, model, RandomSource(23).trial_stream(t))
+    counts = sample_elementary_outcomes(state, obs, MembraneModel.uniform(), 20000,
+                                        RandomSource(23))
+    assert counts.sum() == 20000
 
 
 def test_born_identity_max_gap_is_the_plans_gap():

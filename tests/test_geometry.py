@@ -384,6 +384,21 @@ def test_face_projection_matches_closed_form(n, block):
     assert np.array_equal(project_onto_face(landed, s, (1,)).coordinates, s.vertices[1])
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_a_one_vertex_face_is_its_vertex_bit_for_bit(n):
+    # The general route adds an empty frame's 0.0 to the vertex, which
+    # keeps every bit but a -0.0, and the Bloch map leaves no vertex one.
+    rng = np.random.default_rng(1300 + n)
+    frame = random_orthonormal_frame(rng, n)
+    random_basis = tuple(PureState(n, frame[:, k]) for k in range(n))
+    for obs in (canonical_observable(n), Observable(n, random_basis, range(n))):
+        s = build_measurement_simplex(obs)
+        landed = project_onto_membrane(density_to_bloch(random_density(rng, n)), s)
+        for i in range(n):
+            face = project_onto_face(landed, s, (i,))
+            assert face.coordinates.tobytes() == s.vertices[i].tobytes()
+
+
 def test_spin_observable_vertices_align_with_axis():
     rng = np.random.default_rng(11)
     for _ in range(10):

@@ -383,6 +383,11 @@ def test_chi_square_pools_rare_blocks_and_rejects_zero_counts():
     # block 2 has expected 5e-5 * 1000 = 0.05 < 10: pooled
     res = chi_square_check([500, 499, 1], [0.5, 0.49995, 5e-5])
     assert res.degrees_of_freedom == 2
+    # The cut is 10 expected hits: of 10.1, 9, 8 and 972.9, block 0 is kept
+    # and blocks 1 and 2 are pooled into one cell, so 3 cells and 2 dof.  A
+    # cut at 5 hits would keep all four (3 dof), one at 10.2 pool block 0 (1).
+    res = chi_square_check([11, 8, 7, 974], [0.0101, 0.0090, 0.0080, 0.9729])
+    assert res.degrees_of_freedom == 2
     with pytest.raises(ConfigError):
         chi_square_check([0, 0], [0.5, 0.5])
     with pytest.raises(DimensionError):
