@@ -73,27 +73,6 @@ def _unit(a: np.ndarray) -> np.ndarray | None:
 
 
 @dataclass(frozen=True, eq=False)
-class GeneratorBasis:
-    """Ordered traceless Hermitian generators of SU(N), as dense matrices.
-
-    The maps never build it: it documents the component order and is the
-    tests' oracle.  ``generators`` has shape (N^2 - 1, N, N).  The ordering
-    is fixed: symmetric off-diagonal generators for index pairs (j, k),
-    j < k, in lexicographic order, then the antisymmetric ones in the same
-    pair order, then the N - 1 diagonal generators.  ``normalization`` is
-    the scale c_N = sqrt(N (N - 1) / 2) that puts pure states on the unit
-    sphere.
-    """
-
-    dimension: int
-    generators: np.ndarray
-    normalization: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators", _frozen(self.generators))
-
-
-@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """An N x N Hermitian, unit-trace, positive-semidefinite matrix."""
 
@@ -173,6 +152,8 @@ class BlochVector:
 
     A trace-1 matrix whose eigenvalues are >= -EIGEN_TOL has |r| at most
     1 + N EIGEN_TOL, reached at (1 + (N - 1) EIGEN_TOL, -EIGEN_TOL, ...).
+    The bound is also what keeps a huge coordinate, whose c_N r_i would
+    overflow, out of ``bloch_to_density``.
     """
 
     dimension: int
@@ -199,12 +180,13 @@ class BlochVector:
         return float(np.linalg.norm(self.coordinates))
 
 
-def build_generator_basis(dimension: int) -> GeneratorBasis:
-    """Construct the N^2 - 1 generalized Gell-Mann generators of SU(N).
+def build_generator_basis(dimension: int) -> np.ndarray:
+    """Stack the N^2 - 1 generalized Gell-Mann generators of SU(N).
 
-    For every index pair j < k there is a symmetric generator
-    (E_jk + E_kj) and an antisymmetric one (-i E_jk + i E_kj); the remaining
-    N - 1 generators are diagonal, the l-th being
+    Returns a read-only complex (N^2 - 1, N, N) array, L_i at index i.
+    For every index pair j < k there is a symmetric generator (E_jk + E_kj)
+    and an antisymmetric one (-i E_jk + i E_kj); the remaining N - 1
+    generators are diagonal, the l-th being
     sqrt(2 / (l (l + 1))) * diag(1, ..., 1, -l, 0, ..., 0) with l ones.
     All satisfy Tr(L_a L_b) = 2 delta_ab.  For N = 2 the ordering yields
     exactly (sigma_x, sigma_y, sigma_z).
@@ -230,7 +212,7 @@ def build_generator_basis(dimension: int) -> GeneratorBasis:
         d[:l] = 1.0
         d[l] = -l
         gens.append(np.diag(d * sqrt(2.0 / (l * (l + 1)))).astype(complex))
-    return GeneratorBasis(n, np.stack(gens), sqrt(n * (n - 1) / 2.0))
+    return _frozen(np.stack(gens))
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +221,8 @@ def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
 
     Returns the flat indices j N + k and k N + j of the pairs j < k in
     lexicographic order, the (N - 1, N) array whose row l - 1 is the
-    diagonal of the l-th diagonal generator, and c_N.
+    diagonal of the l-th diagonal generator, and c_N = sqrt(N (N - 1) / 2),
+    the scale that puts pure states on the unit sphere.
     """
     j, k = np.triu_indices(n, 1)
     l = np.arange(1.0, n)[:, None]

@@ -40,16 +40,16 @@ GELL_MANN = [
 @pytest.mark.parametrize("n", range(2, 9))
 def test_generator_count_hermitian_traceless(n):
     basis = build_generator_basis(n)
-    assert basis.dimension == n
-    assert basis.generators.shape == (n * n - 1, n, n)
-    for g in basis.generators:
+    assert basis.shape == (n * n - 1, n, n) and basis.dtype == complex
+    assert not basis.flags.writeable
+    for g in basis:
         assert np.max(np.abs(g - g.conj().T)) <= 1e-12
         assert abs(np.trace(g)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_generator_orthogonality(n):
-    g = build_generator_basis(n).generators
+    g = build_generator_basis(n)
     gram = np.einsum("aij,bji->ab", g, g)
     assert np.max(np.abs(gram.imag)) <= 1e-12
     assert np.max(np.abs(gram.real - 2.0 * np.eye(len(g)))) <= 1e-12
@@ -57,14 +57,13 @@ def test_generator_orthogonality(n):
 
 def test_normalization_constants():
     # c_2 = 1 reproduces D = (I + r.sigma)/2; c_3 = sqrt(3) the qutrit formula.
-    assert build_generator_basis(2).normalization == pytest.approx(1.0, abs=1e-15)
-    assert build_generator_basis(3).normalization == pytest.approx(
-        math.sqrt(3), abs=1e-15
-    )
+    # The constant the maps use is the last entry of their layout.
+    assert hm_sim.bloch._layout(2)[3] == pytest.approx(1.0, abs=1e-15)
+    assert hm_sim.bloch._layout(3)[3] == pytest.approx(math.sqrt(3), abs=1e-15)
 
 
 def test_pauli_ordering_exact():
-    g = build_generator_basis(2).generators
+    g = build_generator_basis(2)
     np.testing.assert_allclose(g[0], SX, atol=1e-15)
     np.testing.assert_allclose(g[1], SY, atol=1e-15)
     np.testing.assert_allclose(g[2], SZ, atol=1e-15)
@@ -73,7 +72,7 @@ def test_pauli_ordering_exact():
 def test_gell_mann_matrices_recovered():
     # Same matrices as the standard Gell-Mann set, reordered to the fixed
     # symmetric/antisymmetric/diagonal layout.
-    g = build_generator_basis(3).generators
+    g = build_generator_basis(3)
     expected_order = [0, 3, 5, 1, 4, 6, 2, 7]  # standard lambda indices (0-based)
     for ours, std in zip(g, expected_order):
         np.testing.assert_allclose(ours, GELL_MANN[std], atol=1e-15)
@@ -87,18 +86,19 @@ def test_generator_basis_rejects_small_dimension():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_fast_maps_match_generator_contraction(n):
     # Oracle: r_i = N/(2 c_N) Tr(D L_i) and D = (I + c_N r . L)/N, contracted
-    # against the dense generator tensor.
-    basis = build_generator_basis(n)
-    scale = n / (2.0 * basis.normalization)
+    # against the dense generator tensor, with c_N computed here.
+    generators = build_generator_basis(n)
+    c = math.sqrt(n * (n - 1) / 2.0)
+    scale = n / (2.0 * c)
     rng = np.random.default_rng(5000 + n)
     states = [pure_to_density(random_pure(rng, n)) for _ in range(10)]
     states += [random_density(rng, n) for _ in range(10)]
     for d in states:
         r = density_to_bloch(d)
-        traces = np.einsum("aij,ji->a", basis.generators, d.matrix)
+        traces = np.einsum("aij,ji->a", generators, d.matrix)
         assert np.max(np.abs(r.coordinates - traces.real * scale)) <= 1e-15
-        dense = np.tensordot(r.coordinates, basis.generators, axes=1)
-        dense = (np.eye(n) + basis.normalization * dense) / n
+        dense = np.tensordot(r.coordinates, generators, axes=1)
+        dense = (np.eye(n) + c * dense) / n
         assert np.max(np.abs(bloch_to_density(r).matrix - dense)) <= 1e-15
 
 
@@ -208,11 +208,11 @@ def test_qutrit_generator_axes_leave_the_state_space():
     # Scan all 8 generator directions at unit norm; each reconstructed
     # operator picks up a negative eigenvalue, confirming the ball is not
     # filled with states for N = 3.  Oracle: eigvalsh of the explicit matrix.
-    basis = build_generator_basis(3)
+    generators = build_generator_basis(3)
     for axis in range(8):
         r = np.zeros(8)
         r[axis] = 1.0
-        m = (np.eye(3) + math.sqrt(3) * basis.generators[axis]) / 3.0
+        m = (np.eye(3) + math.sqrt(3) * generators[axis]) / 3.0
         lo = np.linalg.eigvalsh(m)[0]
         assert lo < -1e-6
         with pytest.raises(InvalidStateError) as err:

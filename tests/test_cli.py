@@ -601,6 +601,21 @@ def test_bloch_vector_outside_the_state_space_exits_2_naming_the_eigenvalue(
     )
 
 
+def test_a_bloch_coordinate_near_the_float_limit_exits_2_at_the_ball(tmp_path, capsys):
+    # The ball's bound stops the point before bloch_to_density, where
+    # c_3 * 1.7e308 would overflow into RuntimeWarnings and a non-finite matrix.
+    config = _measure_config(dimension=3,
+                             state={"kind": "bloch", "coordinates": [1.7e308] + [0.0] * 7})
+    validate_config_payload(config)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(capsys, "measure", "--config", str(cfg))
+    assert result == (2, "", "error: norm inf exceeds 1; not a point of the ball\n")
+    assert [str(w.message) for w in caught] == []
+
+
 def test_config_that_is_not_utf8_exits_2_without_traceback(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_bytes(b'{"experiment": "measure\xff"}')

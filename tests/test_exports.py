@@ -9,7 +9,6 @@ import pytest
 
 import hm_sim
 from hm_sim import harness
-from hm_sim.bloch import build_generator_basis
 from hm_sim.dynamics import prepare_measurement, run_measurement
 
 
@@ -46,7 +45,6 @@ def _trace():
 # field-wise equality would compare the arrays and raise, so these compare
 # and hash by identity.
 ARRAY_HOLDERS = {
-    "GeneratorBasis": lambda: build_generator_basis(2),
     "DensityOperator": _mixed,
     "PureState": lambda: hm_sim.PureState.normalized([1.0, 1.0]),
     "BlochVector": lambda: hm_sim.BlochVector(2, np.array([0.0, 0.0, 1.0])),
