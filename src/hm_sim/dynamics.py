@@ -197,47 +197,86 @@ def _by_columns(count: int, n: int) -> bool:
     return n <= 8 and count >= 1024
 
 
-def _cellular_weights(
-    rng: np.random.Generator, model: MembraneModel, v: np.ndarray, work: np.ndarray
-) -> None:
-    """Barycentric weights of len(v) breaks of a membrane of m > 1 cells, in v.
+def _draw_chunk(
+    model: MembraneModel, rng: np.random.Generator, v: np.ndarray, work: np.ndarray,
+    x: np.ndarray,
+) -> np.ndarray | None:
+    """The random part of len(v) breaks of ``model``, drawn from ``rng`` in place.
 
-    The exponentials of the opposite face are drawn into ``work``, which
-    holds at least len(v) * (N - 1) floats.  The two routes differ only in
-    how a row is summed and divided: a column loop would cost a wide single
-    shot a ufunc call per weight.
+    A break of one cell (uniform, or a membrane of a single cell) is a row
+    of N unit-rate exponentials, drawn into ``v``.  A break of m > 1 cells
+    draws its cell key into ``x``, then its slab coordinate into ``x`` and,
+    for N > 2, the N - 1 exponentials of the opposite face into ``work``
+    (len(v) * (N - 1) floats); its cell, returned, is the only part that
+    reads the membrane.  A solipsistic break is a vertex index, returned.
     """
     count, n = v.shape
-    m = model.cell_count
-    r = rng.random(count)
+    if model.kind == "solipsistic":
+        return rng.integers(0, n, size=count)
+    if model.cell_count == 1:
+        rng.standard_exponential(out=v)
+        return None
+    r = rng.random(out=x)
     if count < _BUCKETS:
         cells = np.searchsorted(model._cumulative, r)
     else:
         cells = _find_cells(model._cumulative, model._buckets, r)
-    np.minimum(cells, m - 1, out=cells)
-    # x holds the slab coordinate s, 1 - s, (1 - s)^(1/(N-1)), then 1 - w0.
-    x = rng.random(count)
-    x += cells
-    x /= m
-    np.subtract(1.0, x, out=x)
-    x **= 1.0 / (n - 1)
-    w0 = np.subtract(1.0, x, out=v[:, 0])
-    np.subtract(1.0, w0, out=x)
-    if n == 2:
-        v[:, 1] = x
-        return
-    e = rng.standard_exponential(out=work[:count * (n - 1)].reshape(count, n - 1))
-    if not _by_columns(count, n):
-        np.divide(e, e.sum(axis=1, keepdims=True), out=v[:, 1:])
-        v[:, 1:] *= x[:, None]
-        return
-    # Each weight is still (e / sum) * (1 - w0), the sum added left to right.
-    total = e[:, 0].copy()
-    for j in range(1, n - 1):
-        total += e[:, j]
-    for j in range(n - 1):
-        np.divide(e[:, j], total, out=v[:, j + 1])
-        v[:, j + 1] *= x
+    rng.random(out=x)
+    if n > 2:
+        rng.standard_exponential(out=work.reshape(count, n - 1))
+    return cells
+
+
+def _block_outcomes(
+    kind: str, m: int, u: np.ndarray, v: np.ndarray, work: np.ndarray, x: np.ndarray,
+    drawn: np.ndarray | None, heads,
+) -> np.ndarray:
+    """Outcomes of the breaks whose random parts ``_draw_chunk`` drew, chunk after chunk.
+
+    Every chunk is of one membrane ``kind`` of ``m`` cells.  ``v`` (count,
+    N) holds the breaks, ``work`` (count * N floats) the cellular
+    exponentials, then scratch, ``x`` the slab coordinates and ``drawn``
+    the cells or vertex indices; ``heads`` indexes each chunk's first row.
+    Each step runs elementwise or along a row, so no break's weights or
+    outcome depend on how the rows were cut into chunks, and each chunk's
+    first row is normalised, as its own draw would normalise its row 0.  A
+    count of at least 1024 breaks with at most 8 outcomes is normalised and
+    classified column by column, with the same bytes.
+    """
+    if kind == "solipsistic":
+        return drawn
+    count, n = v.shape
+    if m == 1:
+        v[heads] /= v[heads].sum(axis=1, keepdims=True)
+    else:
+        # x holds the slab coordinate s, 1 - s, (1 - s)^(1/(N-1)), then 1 - w0.
+        np.minimum(drawn, m - 1, out=drawn)
+        x += drawn
+        x /= m
+        np.subtract(1.0, x, out=x)
+        x **= 1.0 / (n - 1)
+        w0 = np.subtract(1.0, x, out=v[:, 0])
+        np.subtract(1.0, w0, out=x)
+        if n == 2:
+            v[:, 1] = x
+        elif not _by_columns(count, n):
+            # The two routes differ only in how a row is summed and divided:
+            # a column loop would cost a wide single shot a ufunc call per weight.
+            e = work[:count * (n - 1)].reshape(count, n - 1)
+            np.divide(e, e.sum(axis=1, keepdims=True), out=v[:, 1:])
+            v[:, 1:] *= x[:, None]
+        else:
+            # Each weight is still (e / sum) * (1 - w0), the sum added left to right.
+            e = work[:count * (n - 1)].reshape(count, n - 1)
+            total = e[:, 0].copy()
+            for j in range(1, n - 1):
+                total += e[:, j]
+            for j in range(n - 1):
+                np.divide(e[:, j], total, out=v[:, j + 1])
+                v[:, j + 1] *= x
+    if _by_columns(count, n):
+        return _classify_by_columns(v, u, work)
+    return classify_weights(v, u, out=work[:v.size].reshape(v.shape))
 
 
 def draw_breaks(
@@ -248,35 +287,28 @@ def draw_breaks(
 
     ``u`` holds the barycentric weights of the landed state point.  ``v``, a
     C-contiguous (count, N) array, and ``work``, scratch space of v.size
-    floats, are the caller's: a single shot passes new ones, the batch
-    sampler one of each per worker.  The draw leaves row i of ``v`` a
-    positive multiple of the barycentric weights of break i, and row 0
-    exactly them, the weights it returns and a single-shot trace prints.  A
-    uniform break is a row of unit-rate exponentials, which normalised is
-    uniform on the simplex; the classifier ignores a row's scale, so only
-    row 0 is normalised.  A single cell spans the whole simplex, so that
-    membrane draws the uniform rows, draw for draw.  The outcomes are
-    elementary outcome indices, classified in ``work``; a draw of at least
-    1024 breaks with at most 8 outcomes is normalised and classified column
-    by column, with the same bytes.  A solipsistic membrane breaks only at
-    vertices, and a break at a vertex sits on every tension line at once;
-    the solipsistic law resolves it to that vertex's own outcome, which is
-    what makes the die faces equiprobable.  It leaves ``v`` untouched and
-    returns None for the weights.
+    floats, are the caller's; a single shot passes new ones.  This is one
+    chunk of ``_draw_chunk`` finished by ``_block_outcomes``, the two parts
+    the batch sampler runs on blocks of many chunks.  The draw leaves row i
+    of ``v`` a positive multiple of the barycentric weights of break i, and
+    row 0 exactly them, the weights it returns and a single-shot trace
+    prints.  A uniform break is a row of unit-rate exponentials, which
+    normalised is uniform on the simplex; the classifier ignores a row's
+    scale, so only row 0 is normalised.  A single cell spans the whole
+    simplex, so that membrane draws the uniform rows, draw for draw.  The
+    outcomes are elementary outcome indices, classified in ``work``.  A
+    solipsistic membrane breaks only at vertices, and a break at a vertex
+    sits on every tension line at once; the solipsistic law resolves it to
+    that vertex's own outcome, which is what makes the die faces
+    equiprobable.  It leaves ``v`` untouched and returns None for the
+    weights.
     """
     count, n = v.shape
-    if model.kind == "solipsistic":
-        return rng.integers(0, n, size=count), None
-    if model.kind == "cellular" and model.cell_count > 1:
-        _cellular_weights(rng, model, v, work)
-    else:
-        rng.standard_exponential(out=v)
-        v[:1] /= v[:1].sum(axis=1, keepdims=True)
-    if _by_columns(count, n):
-        outcomes = _classify_by_columns(v, u, work)
-    else:
-        outcomes = classify_weights(v, u, out=work[:v.size].reshape(v.shape))
-    return outcomes, v[0].copy()
+    x = np.empty(count)
+    drawn = _draw_chunk(model, rng, v, work[:count * (n - 1)], x)
+    outcomes = _block_outcomes(model.kind, model.cell_count, u, v, work, x, drawn,
+                               slice(0, 1))
+    return outcomes, None if model.kind == "solipsistic" else v[0].copy()
 
 
 # --- the measurement process -------------------------------------------------

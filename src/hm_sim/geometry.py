@@ -55,7 +55,8 @@ class Observable:
     ``degeneracy_partition`` holds the (0-based) indices sharing one label,
     ordered by first appearance.  ``block_index`` maps each index to the
     position of its block (int64) and ``block_labels`` holds each block's
-    label; ``block_sums`` folds N per-eigenstate values into their blocks.
+    label; ``block_sums`` folds N per-eigenstate values (the last axis)
+    into their blocks.
     ``simplex`` is the observable's measurement simplex, the one
     membrane every measurement of it shares.  It depends on the eigenstates
     alone: observables with the same eigenstate bits, whatever their
@@ -114,8 +115,9 @@ class Observable:
         return simplex
 
     def block_sums(self, x: np.ndarray) -> np.ndarray:
-        """The sum of ``x`` over each degeneracy block, in block order."""
-        return np.array([x[list(b)].sum() for b in self.degeneracy_partition])
+        """The sums of ``x`` over each degeneracy block, along its last axis."""
+        return np.stack([x[..., list(b)].sum(axis=-1) for b in self.degeneracy_partition],
+                        axis=-1)
 
     def projector(self, indices) -> np.ndarray:
         """Sum of |n_i><n_i| over the given eigenstate indices."""
@@ -327,13 +329,16 @@ def classify_weights(v: np.ndarray, u: np.ndarray,
     short rows is classified by ``_classify_by_columns`` instead, with the
     same outcomes.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.divide(v, u, out=out)
     # A zero weight of p means the sub-simplex is a measure-zero sliver the
-    # membrane cannot tear into; never classify there.
+    # membrane cannot tear into; never classify there.  Only then can a
+    # ratio divide by zero, so only then are its warnings silenced.
     zero = u == 0.0
     if zero.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.divide(v, u, out=out)
         ratios[..., zero] = np.inf
+    else:
+        ratios = np.divide(v, u, out=out)
     return np.argmin(ratios, axis=-1)
 
 

@@ -2,31 +2,40 @@
 
 Batches of membrane measurements are executed vectorized: breaking points
 are drawn as rows of barycentric weights (uniform ones up to scale) and
-classified against the landed state point, a chunk of at most 8 outcomes
-column by column, a wider one in one argmin.  One thread runs about 9-29
-million uniform trials per second at N = 8 down to N = 2, 6-25 million
-cellular (50 cells) and 74-92 million solipsistic ones (2-vCPU Xeon VM,
-numpy 2.4, one traced mc-batch benchmark run).  Trials are organized in
-fixed-size chunks, each chunk drawing from its own derived random stream.
-A batch keeps only the count of each outcome, added up chunk by chunk, so
-its memory does not grow with the number of trials and its counts are
-identical regardless of execution order or how many workers share the
-chunks.
+classified against the landed state point, a block of at least 1024 rows
+of at most 8 outcomes column by column, else in one argmin.  One thread
+runs about 9-29 million uniform trials per second at N = 8 down to N = 2,
+6-25 million cellular (50 cells) and 74-92 million solipsistic ones
+(2-vCPU Xeon VM, numpy 2.4, one traced mc-batch benchmark run).  Trials
+are organized in fixed-size chunks, each chunk drawing from its own
+derived random stream.  A batch keeps only the count of each outcome,
+added up block by block, so its memory does not grow with the number of
+trials and its counts are identical regardless of execution order or how
+many workers share the blocks.
 
-An experiment is a list of jobs, each (job id, membrane model, trials), run
-on one prepared measurement of the state: a plain batch is one job, a
-universal average one job per membrane; a repeated state object reuses its
-plan from the bounded cache of ``prepare_measurement``.  The preparation
+An experiment is a list of jobs, each (job id, trials) on a membrane of
+the job, run on one prepared measurement of the state: a plain batch is
+one job, a universal average one job per membrane; a repeated state
+object reuses its plan from the bounded cache of ``prepare_measurement``.
+Consecutive chunks of the jobs are packed into blocks of at most
+CHUNK_TRIALS rows: each chunk draws its random part from its own stream
+(a cellular chunk finds its cells on its own membrane, which is then
+dropped), and one pass weights, classifies and counts the whole block.
+So a job of 100 trials costs its stream and its membrane, not a chunk's
+fixed costs, and a full chunk is a block of its own.  The preparation
 carries two probability routes, the Hilbert-space oracle Tr(D P_i) and the
 membrane geometry (barycentric coordinates of the projected state), which
-must agree to 1e-9 or the run aborts.  One verdict then compares the block
-counts to the oracle: binomial sigma bands and Pearson chi-square, or, over
-random membranes, between-membrane bands and Hotelling T^2.
+must agree to 1e-9 or the run aborts.  One verdict then compares the
+outcome-block counts to the oracle: binomial sigma bands and Pearson
+chi-square, or, over random membranes, between-membrane bands and
+Hotelling T^2.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
@@ -44,7 +53,8 @@ from .bloch import (
 from .dynamics import (
     MembraneModel,
     RandomSource,
-    draw_breaks,
+    _block_outcomes,
+    _draw_chunk,
     prepare_measurement,
 )
 from .errors import ConfigError, DimensionError, OracleMismatchError
@@ -204,43 +214,101 @@ def sample_elementary_outcomes(
 ) -> np.ndarray:
     """N int64 counts: how often each elementary outcome occurs in ``trials`` runs.
 
-    Each worker draws its chunks with ``draw_breaks`` into one row array and
-    one scratch array of its own and counts each as soon as it is drawn, so
-    memory does not grow with ``trials``.  ``job`` namespaces the random
-    streams so distinct experiment parts sharing one master seed stay
-    independent.  ``workers``
-    only affects wall time: worker w counts chunks w, w + workers, ..., and
-    integer sums are exact in any order.  No more threads run than chunks
-    or CPUs, and a single one needs no pool.  The measurement is
+    A batch of one job: ``job`` namespaces the random streams so distinct
+    experiment parts sharing one master seed stay independent, and
+    ``workers`` only affects wall time.  The measurement is
     ``prepare_measurement``'s, so a repeated state reuses its cached plan.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
     plan = prepare_measurement(state, observable)
+    return _count_jobs(plan, lambda _: model, [job], [trials], source, workers)[0]
+
+
+def _blocks(jobs, trials):
+    """The blocks of ``trials[i]`` runs of each job id ``jobs[i]``.
+
+    A block is a list of (i, job id, chunk, size).  A job's runs are cut
+    into chunks of CHUNK_TRIALS and a shorter last one; consecutive chunks
+    share a block of at most CHUNK_TRIALS rows while they fit.  A full
+    chunk fills a block of its own, so a job appears at most once in a
+    block, and a block's job numbers i run consecutively.
+    """
+    block, rows = [], 0
+    for slot, (job, count) in enumerate(zip(jobs, trials)):
+        for c in range((count + CHUNK_TRIALS - 1) // CHUNK_TRIALS):
+            size = min(CHUNK_TRIALS, count - c * CHUNK_TRIALS)
+            if rows + size > CHUNK_TRIALS:
+                yield block
+                block, rows = [], 0
+            block.append((slot, job, c, size))
+            rows += size
+    if block:
+        yield block
+
+
+def _count_jobs(plan, membrane, jobs, trials, source, workers) -> np.ndarray:
+    """(len(jobs), N) int64 outcome counts of ``trials[i]`` runs of job id ``jobs[i]``.
+
+    Every run measures ``plan``.  Job j runs on the membrane
+    ``membrane(j)``; all are of one kind and cell count.  Its chunk c draws
+    from ``source.chunk_stream(j, c)``, whatever else shares its block
+    (``_blocks``).  A worker draws each chunk's random part into its
+    block's arrays, building the chunk's membrane unless it holds that
+    job's already; it drops the one it holds first, so each worker holds
+    at most one membrane.  Then one pass weights, classifies and counts
+    the whole block, one ``bincount`` of i * N + outcome.  Worker w runs
+    blocks w, w + workers, ...; integer sums are exact in any order, so
+    counts do not depend on ``workers``.  No more threads run than blocks
+    or CPUs, and a single one needs no pool.  A job split over the blocks
+    of two workers builds its membrane in each.
+    """
     n = len(plan.u)
+    counts = np.zeros((len(jobs), n), dtype=np.int64)
+    if min(trials) < 1:
+        raise ConfigError(f"trials must be >= 1, got {min(trials)}")
     if plan.at_vertex is not None:
         # Eigenstate input: that outcome occurs with certainty under every
         # membrane model (first-kind condition).
-        return np.eye(n, dtype=np.int64)[plan.at_vertex] * trials
-
-    chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    workers = max(1, min(workers, chunks, os.cpu_count() or 1))
-
-    def count_chunks(w: int) -> np.ndarray:
-        counts = np.zeros(n, dtype=np.int64)
-        rows = np.empty((min(CHUNK_TRIALS, trials), n))
-        work = np.empty(rows.size)
-        for c in range(w, chunks, workers):
-            size = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
-            stream = source.chunk_stream(job, c)
-            outcomes = draw_breaks(model, plan.u, stream, rows[:size], work)[0]
-            counts += np.bincount(outcomes, minlength=n)
+        counts[:, plan.at_vertex] = trials
         return counts
+    rows = min(CHUNK_TRIALS, sum(trials))
+    workers = (min(workers, sum(1 for _ in _blocks(jobs, trials)), os.cpu_count() or 1)
+               if workers > 1 else 1)
+    lock = threading.Lock()
+
+    def count_blocks(w: int) -> None:
+        v, work = np.empty((rows, n)), np.empty(rows * n)
+        x, drawn = np.empty(rows), np.empty(rows, dtype=np.intp)
+        held = held_slot = None
+        for block in itertools.islice(_blocks(jobs, trials), w, None, workers):
+            lo, heads, one = 0, [], len(block) == 1
+            for slot, job, c, size in block:
+                if slot != held_slot:
+                    held = None
+                    held, held_slot = membrane(job), slot
+                hi = lo + size
+                part = _draw_chunk(held, source.chunk_stream(job, c), v[lo:hi],
+                                   work[lo * (n - 1):hi * (n - 1)], x[lo:hi])
+                if part is not None and not one:
+                    drawn[lo:hi] = part
+                heads.append(lo)
+                lo = hi
+            outcomes = _block_outcomes(held.kind, held.cell_count, plan.u, v[:lo], work,
+                                       x[:lo], part if one else drawn[:lo],
+                                       slice(0, 1) if one else heads)
+            if not one:
+                outcomes = outcomes + np.repeat(np.arange(0, len(block) * n, n),
+                                                [size for *_, size in block])
+            hits = np.bincount(outcomes, minlength=len(block) * n).reshape(-1, n)
+            first = block[0][0]
+            with lock:
+                counts[first:first + len(block)] += hits
 
     if workers == 1:
-        return count_chunks(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(count_chunks, range(workers)))
+        count_blocks(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(count_blocks, range(workers)))
+    return counts
 
 
 # --- statistics ----------------------------------------------------------------
@@ -336,23 +404,6 @@ class ConvergenceReport:
             raise OracleMismatchError("empirical frequencies must sum to 1")
 
 
-def _run_jobs(state, observable, jobs, source, workers) -> tuple[np.ndarray, np.ndarray]:
-    """The Born block weights, and block counts per ``(job id, model, trials)``.
-
-    One cached preparation serves every job.  ``jobs`` may be a generator,
-    so that a job's membrane is built only when the job runs; each membrane
-    is dropped before the next is built.
-    """
-    plan = prepare_measurement(state, observable)
-    rows = []
-    for job, model, trials in jobs:
-        rows.append(observable.block_sums(sample_elementary_outcomes(
-            state, observable, model, trials, source, job, workers
-        )))
-        del model
-    return observable.block_sums(plan.born), np.array(rows, dtype=np.int64)
-
-
 def _verdict(
     observable, counts, oracle_blocks, tolerance_sigmas, meta, between_membranes=None
 ) -> ConvergenceReport:
@@ -404,9 +455,11 @@ def batch_statistics(
     ``job`` namespaces the batch's streams of ``source``; ``workers`` only
     changes wall time.
     """
-    oracle_blocks, rows = _run_jobs(state, observable, [(job, model, trials)],
-                                    source, workers)
-    return _verdict(observable, rows[0], oracle_blocks, tolerance_sigmas, {})
+    counts = sample_elementary_outcomes(state, observable, model, trials, source, job,
+                                        workers)
+    born = prepare_measurement(state, observable).born
+    return _verdict(observable, observable.block_sums(counts), observable.block_sums(born),
+                    tolerance_sigmas, {})
 
 
 def simulate_statistics(
@@ -455,16 +508,6 @@ def _hotelling_check(
     # direction in which the membrane frequencies never varied (few trials per
     # membrane), which T^2 cannot weigh: the sigma bands decide instead.
     return ChiSquareResult(0.0, 0, 0.0, True)
-
-
-def _random_membranes(source, cell_count, membranes, trials):
-    """Jobs on membranes whose cell weights are uniform on the probability simplex.
-
-    The generator holds neither a yielded membrane nor its draw, so a
-    membrane the caller has dropped is freed before the next is built.
-    """
-    for i in range(membranes):
-        yield i, _random_membrane(source.membrane_stream(i), cell_count), trials
 
 
 def _random_membrane(rng, cell_count) -> MembraneModel:
@@ -521,16 +564,21 @@ def universal_average_experiment(
     observable_op = resolve_observable_spec(observable, dimension)
     source = RandomSource(master_seed)
     k, n = membrane_samples, trials_per_membrane
+    plan = prepare_measurement(state_op, observable_op)
     if cell_count == 1:
         # Single full-simplex cell: every membrane is the uniform one.  Run a
         # single uniform job so the result is draw-for-draw identical to the
         # plain uniform-membrane experiment with k*n trials.
-        jobs = [(0, MembraneModel.uniform(), k * n)]
-    elif fixed is not None:
-        jobs = [(i, fixed, n) for i in range(k)]
+        uniform = MembraneModel.uniform()
+        membrane, jobs, trials = (lambda _: uniform), [0], [k * n]
     else:
-        jobs = _random_membranes(source, cell_count, k, n)
-    oracle_blocks, rows = _run_jobs(state_op, observable_op, jobs, source, workers)
+        # Membrane i is built where its trials run, and dropped before the next.
+        membrane = ((lambda _: fixed) if fixed is not None else
+                    (lambda i: _random_membrane(source.membrane_stream(i), cell_count)))
+        jobs, trials = range(k), [n] * k
+    rows = observable_op.block_sums(_count_jobs(plan, membrane, jobs, trials, source,
+                                                workers))
+    oracle_blocks = observable_op.block_sums(plan.born)
 
     between_membranes = None
     if cell_count > 1 and fixed is None and k >= 2:

@@ -314,6 +314,81 @@ def test_cellular_draws_leave_the_oracle_weights_bit_for_bit(n):
             np.testing.assert_array_equal(drawn, oracle)
 
 
+@pytest.mark.parametrize("n", (2, 3, 8, 9, 12))
+def test_packed_jobs_count_what_each_chunk_draws_alone(n, monkeypatch):
+    # Jobs of 1, 100 and 8191 trials share blocks with the short last chunk
+    # of their neighbours, 8192 fills one, and 8193 and 20000 leave a short
+    # chunk behind.  Each job's counts are the bincount of the oracle draw
+    # of each of its chunks, on its own membrane and its own chunk stream,
+    # whatever shares its block, for either worker count; every chunk
+    # stream is derived exactly once.  The second landed point has an exact
+    # zero weight.
+    import hm_sim.harness
+
+    jobs = [(7, 1), (3, 100), (11, 8191), (0, 8192), (5, 8193), (9, 1), (4, 20000),
+            (2, 100), (8, 1)]
+    rng = np.random.default_rng(30 + n)
+    plan = prepare_measurement(pure_to_density(random_pure_state(RandomSource(6), n, n)),
+                               canonical_observable(n))
+    zero_u = np.array(plan.u)
+    zero_u[n // 2] = 0.0
+    zero_u /= zero_u.sum()
+    laws = [{job: MembraneModel.uniform() for job, _ in jobs},
+            {job: MembraneModel.solipsistic() for job, _ in jobs}]
+    laws += [{job: MembraneModel.cellular(rng.dirichlet(np.ones(m))) for job, _ in jobs}
+             for m in (1, 50, 5000)]
+    source = RandomSource(SEED - n)
+    calls = []
+    chunk_stream = RandomSource.chunk_stream
+
+    def recorded(self, job, chunk):
+        calls.append((job, chunk))
+        return chunk_stream(self, job, chunk)
+
+    for p in (plan, dataclasses.replace(plan, u=zero_u)):
+        for law in laws:
+            expected = np.zeros((len(jobs), n), dtype=np.int64)
+            for row, (job, trials) in zip(expected, jobs):
+                for c in range(-(-trials // CHUNK_TRIALS)):
+                    size = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
+                    outcomes, _ = oracle_chunk_outcomes(law[job], p.u, size,
+                                                        source.chunk_stream(job, c))
+                    row += np.bincount(outcomes, minlength=n)
+            with monkeypatch.context() as patch:
+                patch.setattr(RandomSource, "chunk_stream", recorded)
+                for workers in (1, 2):
+                    calls.clear()
+                    got = hm_sim.harness._count_jobs(p, law.__getitem__, *zip(*jobs),
+                                                     source, workers)
+                    assert got.dtype == np.int64
+                    np.testing.assert_array_equal(got, expected)
+                    assert sorted(calls) == sorted(
+                        (job, c) for job, trials in jobs
+                        for c in range(-(-trials // CHUNK_TRIALS)))
+            if p is not plan and law[0].kind != "solipsistic":
+                assert not got[:, n // 2].any()
+
+
+def test_universal_average_holds_one_random_membrane_at_a_time():
+    # Each random membrane of 10**6 cells holds about 16 MB (its weights and
+    # their running sums); ten times the membranes may not grow the peak.
+    import tracemalloc
+
+    state = {"kind": "pure", "re": [0.6, 0.48, 0.64]}
+
+    def peak(membranes):
+        tracemalloc.start()
+        try:
+            universal_average_experiment(3, state, {"kind": "canonical"}, 10**6,
+                                         membranes, 10, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(2), peak(20)
+    assert many <= 1.25 * few, (few, many)
+
+
 @pytest.mark.parametrize("kind", ("uniform", "cellular", "solipsistic"))
 def test_sampler_memory_does_not_grow_with_trials(kind):
     # Sixteen times the trials may not double the peak: the sampler keeps
