@@ -2,7 +2,8 @@
 
 Commands: ``spin-machine``, ``verify-born``, ``die``, ``universal-average``
 and ``measure``.  Every command runs one config document, checked by the
-one config schema: the ``--config`` file, or for the first three the
+package's own checker of the one config schema (no command imports
+jsonschema): the ``--config`` file, or for the first three the
 inline flags collected into the same document (the two routes exclude
 each other).  Each emits a machine-readable report (JSON by default, CSV
 on request) and exits 0 when every check passed, 1 when checks ran and
@@ -267,6 +268,8 @@ def _emit(payload: dict, args) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.workers < 1:
+            raise ConfigError(f"argument --workers: must be at least 1, not {args.workers}")
         cfg = _read_config(args)
         if args.command == "measure" and args.format == "csv":
             raise ConfigError("measure emits a collapse trace; only json is supported")

@@ -46,4 +46,4 @@ class ConfigError(HmSimError, ValueError):
 
 
 class ReportSchemaError(HmSimError, RuntimeError):
-    """A report the package built fails its own schema; signals a bug."""
+    """A report fails its schema, or a schema holds a keyword left unchecked; signals a bug."""

@@ -4,9 +4,9 @@ Every number, in JSON and in CSV alike, is printed with 12 significant
 digits by one format, and JSON keys are sorted, so identical runs produce
 byte-identical files.  Configs and reports pass one check: every number must
 be finite, then the document must meet its versioned JSON schema, shipped
-with the package.  A small checker of the keyword subset those schemas use
-accepts a conforming document; jsonschema is imported only when the checker
-does not accept one, to decide it and to name its error.
+with the package.  A checker of the keyword subset those schemas use decides
+each document as JSON Schema Draft 2020-12 does and names the error of a
+rejected one as jsonschema's ``best_match`` does; no command imports jsonschema.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import operator
 import reprlib
 import sys
@@ -139,18 +140,30 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-class _Undecided(Exception):
-    """A value or keyword that ``_conforms`` does not decide."""
+# Draft 2020-12's JSON types: a bool is no number, an integral float is an integer, any
+# other number (numpy's too) is a number; only a list is an array, only a dict an object.
+_JSON_TYPES = {"object": lambda x: isinstance(x, dict), "array": lambda x: isinstance(x, list),
+               "string": lambda x: isinstance(x, str), "boolean": lambda x: isinstance(x, bool),
+               "null": lambda x: x is None,
+               "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+               "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                                     or isinstance(x, float) and x.is_integer())}
+# Each bound keyword: its JSON type, the test a value fails it by, jsonschema's words.
+_BOUNDS = {"minimum": ("number", operator.lt, lambda n: f"is less than the minimum of {n!r}"),
+           "maximum": ("number", operator.gt, lambda n: f"is greater than the maximum of {n!r}"),
+           "exclusiveMinimum": ("number", operator.le,
+                                lambda n: f"is less than or equal to the minimum of {n!r}"),
+           "minItems": ("array", lambda node, n: len(node) < n,
+                        lambda n: "should be non-empty" if n == 1 else "is too short"),
+           "maxItems": ("array", lambda node, n: len(node) > n,
+                        lambda n: "is expected to be empty" if n == 0 else "is too long")}
 
 
-# The JSON types of each plain Python value (an integral float is an integer too).
-_JSON_TYPES = {dict: {"object"}, list: {"array"}, str: {"string"}, bool: {"boolean"},
-               type(None): {"null"}, int: {"integer", "number"}, float: {"number"}}
-# Each bound keyword: the JSON type it applies to, and the test a value fails it by.
-_BOUNDS = {"minimum": ("number", operator.lt), "maximum": ("number", operator.gt),
-           "exclusiveMinimum": ("number", operator.le),
-           "minItems": ("array", lambda node, n: len(node) < n),
-           "maxItems": ("array", lambda node, n: len(node) > n)}
+def _has_type(node, types) -> bool:
+    """Whether ``node`` has the JSON type ``types`` names, or one of those it lists."""
+    if isinstance(types, str):
+        return _JSON_TYPES[types](node)
+    return any(_JSON_TYPES[kind](node) for kind in types)
 
 
 def _finite_span(items: list):
@@ -167,79 +180,78 @@ def _finite_span(items: list):
     return None
 
 
-def _items_conform(items: list, schema: dict, root: dict) -> bool:
-    # A number array passes by its span, with no call per item; any other array,
-    # or one the span does not pass, is decided item by item.
-    if schema.get("type") == "number" and schema.keys() <= {"type", "minimum", "maximum"}:
-        span = _finite_span(items)
-        if span and schema.get("minimum", span[0]) <= span[0] <= span[1] <= schema.get(
-                "maximum", span[1]):
-            return True
-    return all(_conforms(item, schema, root) for item in items)
+def _span_conforms(items: list, schema: dict) -> bool:
+    """Whether every item of a number array meets ``schema``, decided by the array's span."""
+    span = (schema.get("type") == "number" and schema.keys() <= {"type", "minimum", "maximum"}
+            and _finite_span(items))
+    return bool(span) and (schema.get("minimum", span[0]) <= span[0] <= span[1]
+                           <= schema.get("maximum", span[1]))
+
+
+def _errors(node, schema: dict, root: dict, path: tuple = ()):
+    """Each violation of ``schema`` by ``node``, decided as Draft 2020-12 decides it.
+
+    A violation is (path, message, innermost schema, value), in jsonschema
+    4.26's order and words.  ``const`` and ``enum`` hold strings.
+    """
+    for key, value in schema.items():
+        if key == "type":
+            if not _has_type(node, value):
+                types = ", ".join(map(repr, [value] if isinstance(value, str) else value))
+                yield path, f"{node!r} is not of type {types}", schema, node
+        elif key == "const":
+            if not (isinstance(node, str) and node == value):
+                yield path, f"{value!r} was expected", schema, node
+        elif key == "enum":
+            if not (isinstance(node, str) and node in value):
+                yield path, f"{node!r} is not one of {value!r}", schema, node
+        elif key in _BOUNDS:
+            applies, fails, says = _BOUNDS[key]
+            if _JSON_TYPES[applies](node) and fails(node, value):
+                yield path, f"{node!r} {says(value)}", schema, node
+        elif key == "required":
+            yield from ((path, f"{name!r} is a required property", schema, node)
+                        for name in value if isinstance(node, dict) and name not in node)
+        elif key == "properties":
+            for name, sub in value.items() if isinstance(node, dict) else ():
+                if name in node:
+                    yield from _errors(node[name], sub, root, (*path, name))
+        elif key == "additionalProperties" and value is False:
+            extras = isinstance(node, dict) and sorted(
+                node.keys() - schema.get("properties", {}).keys(), key=str)
+            if extras:
+                names, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+                yield (path, f"Additional properties are not allowed ({names} {verb} unexpected)",
+                       schema, node)
+        elif key == "items":
+            if isinstance(node, list) and not _span_conforms(node, value):
+                for index, item in enumerate(node):
+                    yield from _errors(item, value, root, (*path, index))
+        elif key == "$ref" and value.startswith("#/$defs/"):
+            yield from _errors(node, root["$defs"][value.removeprefix("#/$defs/")], root, path)
+        elif key == "allOf":
+            for sub in value:
+                yield from _errors(node, sub, root, path)
+        elif key == "if":
+            if _conforms(node, value, root):
+                yield from _errors(node, schema.get("then", {}), root, path)
+        elif key not in ("then", "$defs", "$schema", "$id", "title"):
+            raise ReportSchemaError(f"schema keyword {key!r} is outside the checked subset")
 
 
 def _conforms(node, schema: dict, root: dict) -> bool:
-    """Whether plain JSON ``node`` meets ``schema``, decided as Draft 2020-12 decides it.
-
-    The verdict is exact, not only safe, so an ``if`` is never wrongly false and
-    its ``then`` never wrongly skipped.  ``const`` and ``enum`` hold strings.  A
-    value of another Python type, or a keyword outside the subset the shipped
-    schemas use, raises ``_Undecided``.
-    """
-    if type(node) not in _JSON_TYPES:
-        raise _Undecided(type(node).__name__)
-    kinds = _JSON_TYPES[type(node)]
-    if type(node) is float and node.is_integer():
-        kinds = {"integer", "number"}
-    for key, value in schema.items():
-        if key == "type":
-            ok = not kinds.isdisjoint([value] if isinstance(value, str) else value)
-        elif key in ("const", "enum"):
-            ok = node in ([value] if key == "const" else value)
-        elif key in _BOUNDS:
-            applies, fails = _BOUNDS[key]
-            ok = applies not in kinds or not fails(node, value)
-        elif key == "required":
-            ok = "object" not in kinds or all(name in node for name in value)
-        elif key == "properties":
-            ok = "object" not in kinds or all(_conforms(node[name], sub, root)
-                                              for name, sub in value.items() if name in node)
-        elif key == "additionalProperties" and value is False:
-            ok = "object" not in kinds or node.keys() <= schema.get("properties", {}).keys()
-        elif key == "items":
-            ok = "array" not in kinds or _items_conform(node, value, root)
-        elif key == "$ref" and value.startswith("#/$defs/"):
-            ok = _conforms(node, root["$defs"][value.removeprefix("#/$defs/")], root)
-        elif key == "allOf":
-            ok = all(_conforms(node, sub, root) for sub in value)
-        elif key == "if":
-            ok = not _conforms(node, value, root) or _conforms(node, schema.get("then", {}), root)
-        elif key in ("then", "$defs", "$schema", "$id", "title"):
-            continue
-        else:
-            raise _Undecided(key)
-        if not ok:
-            return False
-    return True
+    return next(_errors(node, schema, root), None) is None  # stops at the first violation
 
 
 def schema_error(payload, name: str):
-    """The error ``jsonschema.validate`` would raise for ``payload``, or None.
+    """The violation jsonschema's ``best_match`` picks for ``payload``, or None.
 
-    ``_conforms`` accepts a conforming payload of plain JSON values without
-    jsonschema.  Any other payload goes to jsonschema, imported here, whose
-    ``best_match`` picks the error.  It does not re-check the shipped schema
-    against the metaschema on every run, as ``jsonschema.validate`` does; the
-    test suite checks it once.
+    By its ``relevance`` key less the ``anyOf``/``oneOf`` terms: the shallowest wins,
+    then the greatest path, then one whose value lacks its schema's type, then the first.
     """
     schema = load_schema(name)
-    with contextlib.suppress(_Undecided):
-        if _conforms(payload, schema, schema):
-            return None
-    from jsonschema import Draft202012Validator
-    from jsonschema.exceptions import best_match
-
-    return best_match(Draft202012Validator(schema).iter_errors(payload))
+    return max(_errors(payload, schema, schema), default=None, key=lambda error: (
+        -len(error[0]), error[0], not _has_type(error[3], error[2].get("type", ()))))
 
 
 def _field(path) -> str:
@@ -266,13 +278,13 @@ def _check(payload: dict, kind: str, error: type) -> None:
         raise error(f"{kind} field {_field(path)}: not a finite number")
     try:
         found = schema_error(payload, f"{kind}.schema.json")
-    except RecursionError as err:  # from jsonschema's repr of a deeply nested value
+    except RecursionError as err:  # from the repr of a deeply nested value
         raise error(f"cannot check {kind}: {err}") from None
     if found is not None:
-        message = found.message
-        if len(message) > 160:  # jsonschema prints the whole value; print its outline
-            message = message.replace(repr(found.instance), reprlib.repr(found.instance), 1)
-        raise error(f"{kind} field {_field(found.absolute_path)}: {message}") from found
+        path, message, _, value = found
+        if len(message) > 160:  # a message quotes the whole value; print its outline
+            message = message.replace(repr(value), reprlib.repr(value), 1)
+        raise error(f"{kind} field {_field(path)}: {message}")
 
 
 def validate_report_payload(payload: dict) -> None:

@@ -261,6 +261,7 @@ def test_integral_floats_in_a_config_run_as_integers(tmp_path, capsys):
 
 def test_usage_errors_exit_2_with_one_error_line(capsys):
     for argv in (["die", "--bogus", "1"], [], ["die", "--workers", "x"],
+                 ["die", "--workers", "0"], ["die", "--workers", "-5"],
                  ["die", "--seed", "x"], ["die", "--format", "xml"],
                  ["spin-machine", "--angle", "abc"]):
         code, out, err = run_cli(capsys, *argv)
@@ -836,13 +837,40 @@ def test_only_the_hotelling_verdict_loads_scipy_and_none_loads_scipy_stats(impor
 
 def test_no_accepted_command_loads_jsonschema_and_a_rejected_config_names_its_error(
         import_probe):
-    # The in-package checker accepts a valid config and report; jsonschema is
-    # imported only to name the error of a document the checker does not accept.
+    # The in-package checker accepts a valid config and report, and names the
+    # error of one it rejects; no route imports jsonschema.
     loaded, stderr = import_probe
     assert loaded["accepted_jsonschema"] == []
     assert loaded["codes"][6] == 2
     assert stderr == "error: config field rolls: 0.0 is less than the minimum of 1\n"
-    assert "jsonschema" in loaded["rejected_jsonschema"]
+    assert loaded["rejected_jsonschema"] == []
+
+
+_WITHOUT_JSONSCHEMA = """
+import sys
+sys.modules["jsonschema"] = None  # so that importing it raises ImportError
+import hm_sim.cli
+
+if sys.argv[1] == "bad-report":
+    real = hm_sim.cli.envelope
+    hm_sim.cli.envelope = lambda *args, **kwargs: dict(real(*args, **kwargs), meta=5)
+sys.exit(hm_sim.cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("case, argv, code, stderr", [
+    ("bad-config", ["die", "--rolls", "0"], 2,
+     "error: config field rolls: 0.0 is less than the minimum of 1\n"),
+    ("bad-report", ["die", "--rolls", "100"], 3,
+     "internal error: report field meta: 5 is not of type 'object'\n"),
+], ids=["config", "report"])
+def test_a_rejection_reads_the_same_where_jsonschema_cannot_be_imported(case, argv, code,
+                                                                         stderr):
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_JSONSCHEMA, case, *argv],
+        capture_output=True, text=True, cwd=Path(hm_sim.__file__).resolve().parents[1],
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", stderr)
 
 
 def test_a_report_that_fails_its_schema_exits_3_with_one_line(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from hm_sim.geometry import canonical_observable
 from hm_sim.harness import ExperimentConfig, simulate_statistics
 from hm_sim.serialize import (
     _conforms,
-    _Undecided,
+    _errors,
     csv_from_entries,
     dumps_canonical,
     envelope,
@@ -194,8 +194,9 @@ def test_schema_error_matches_jsonschema_validate(name, payload):
         jsonschema.validate(payload, load_schema(name))
     error = schema_error(payload, name)
     assert error is not None
-    assert error.message == reference.value.message
-    assert error.absolute_path == reference.value.absolute_path
+    path, message, _, _ = error
+    assert message == reference.value.message
+    assert path == tuple(reference.value.absolute_path)
 
 
 @pytest.mark.parametrize(
@@ -215,7 +216,7 @@ def test_a_report_that_fails_its_schema_raises_report_schema_error():
 
 # --- the in-package checker against jsonschema ------------------------------------
 
-# What ``_conforms`` decides; any other keyword raises ``_Undecided``.
+# What ``_errors`` decides; any other keyword raises ReportSchemaError.
 CHECKED_KEYWORDS = {
     "type", "const", "enum", "required", "properties", "additionalProperties",
     "minimum", "maximum", "exclusiveMinimum", "items", "minItems", "maxItems",
@@ -258,31 +259,42 @@ _VALIDATORS = {name: Draft202012Validator(load_schema(name))
                for name in ("config.schema.json", "report.schema.json")}
 
 
-def _assert_schema_error_is_jsonschemas(doc, name) -> bool:
-    """Check ``schema_error`` gives jsonschema's verdict, message and path; True if accepted."""
+def _assert_schema_error_is_jsonschemas(doc, name) -> None:
+    """Check ``schema_error`` gives jsonschema's verdict, message and path.
+
+    ``_conforms`` must give the same verdict.
+    """
     reference = best_match(_VALIDATORS[name].iter_errors(doc))
     error = schema_error(doc, name)
     assert (error is None) == (reference is None), doc
+    schema = load_schema(name)
+    assert _conforms(doc, schema, schema) is (reference is None), doc
     if reference is not None:
-        assert (error.message, error.absolute_path) == (reference.message, reference.absolute_path)
-    return reference is None
+        path, message, _, _ = error
+        assert (message, path) == (reference.message, tuple(reference.absolute_path))
 
 
-def test_the_checker_leaves_other_values_and_keywords_undecided():
-    schema = load_schema("config.schema.json")
-    for payload in [dict(SPIN, angle=np.float64(0.5)), dict(SPIN, angle=(0.5,)), (1,)]:
-        with pytest.raises(_Undecided):
-            _conforms(payload, schema, schema)
-    with pytest.raises(_Undecided):
-        _conforms(1, {"multipleOf": 2}, {})
+def test_a_keyword_outside_the_subset_is_an_internal_error_and_never_accepted():
+    # 4 meets every checked keyword here, so only the unchecked one could reject it.
+    for schema in [{"multipleOf": 2}, {"type": "integer", "multipleOf": 2},
+                   {"additionalProperties": True}, {"$ref": "#/x"}]:
+        for check in (_conforms, lambda *args: list(_errors(*args))):
+            with pytest.raises(ReportSchemaError, match="is outside the checked subset$"):
+                check(4, schema, {})
 
 
 @pytest.mark.parametrize("payload", [
     dict(SPIN, angle=np.float64(0.5)),
     dict(SPIN, trials=np.int64(10)),
     dict(MEASURE, state={"kind": "bloch", "coordinates": (0.0, 0.0, 1.0)}),
+    dict(SPIN, angle=(0.5,)),
+    (1,),
+    # A bool is no number, though Python's bool is an int.
+    dict(SPIN, angle=True),
+    dict(MEASURE, state={"kind": "bloch", "coordinates": [0.0, False, 1.0]}),
 ])
 def test_schema_error_hands_other_python_types_to_jsonschema(payload):
+    # Decided by the checker's own type tests, which give jsonschema's verdict.
     _assert_schema_error_is_jsonschemas(payload, "config.schema.json")
 
 
@@ -358,7 +370,7 @@ def test_a_config_deeper_than_the_recursion_limit_is_checked_without_recursion_e
     path = "/".join(["bogus"] + ["0"] * depth)
     with pytest.raises(ConfigError, match=f"^config field {path}: not a finite number$"):
         validate_config_payload(dict(SPIN, bogus=_nested(math.nan, depth)))
-    # jsonschema names a bad value by its repr, which recursion limits.
+    # A message names a bad value by its repr, which recursion limits.
     with pytest.raises(ConfigError, match="^cannot check config: maximum recursion depth"):
         validate_config_payload(dict(SPIN, experiment=_nested(1.0, depth)))
 
@@ -441,6 +453,4 @@ def test_schema_error_decides_mutated_configs_and_reports_as_jsonschema_does(dat
     doc = copy.deepcopy(doc)
     for _ in range(data.draw(st.integers(1, 2))):
         _mutate(doc, data)
-    accepted = _assert_schema_error_is_jsonschemas(doc, name)
-    schema = load_schema(name)
-    assert _conforms(doc, schema, schema) is accepted, doc
+    _assert_schema_error_is_jsonschemas(doc, name)
