@@ -27,7 +27,7 @@ import os
 import sys
 
 from .bloch import BlochVector, DensityOperator, PureState, bloch_to_density, pure_to_density
-from .dynamics import ORACLE_TOL, MembraneModel, RandomSource, prepare_measurement, run_measurement
+from .dynamics import ORACLE_TOL, MembraneModel, RandomSource, _held_plan, run_measurement
 from .errors import (ConfigError, HmSimError, ImpossibleOutcomeError, OracleMismatchError,
                      ReportSchemaError)
 from .geometry import canonical_observable
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
             raise ConfigError("measure emits a collapse trace; only json is supported")
         seed = resolve_seed(args.seed, cfg.get("seed"))
         meta, reports, trace = _COMMANDS[args.command][0](cfg, seed, args.workers)
-        prepare_measurement.cache_clear()  # the report reuses no plan; free their simplexes
+        _held_plan.cache_clear()  # the report reuses no plan; free their simplexes
         passed = all(r["pass"] for r in reports)
         _emit(envelope(args.command, seed, passed, meta, reports, trace), args)
     except (OracleMismatchError, ImpossibleOutcomeError, ReportSchemaError) as err:

@@ -347,7 +347,6 @@ class MeasurementPlan:
     block's face point, Lueders posterior and its point are built on the
     block's first shot and kept.  The plan is shareable across threads; two
     that first use a block together may both build it, with equal results.
-    A repeated (state, observable) pair gets its cached plan back.
     """
 
     state: DensityOperator
@@ -419,7 +418,6 @@ class MeasurementPlan:
         return trace.outcome_label, trace, posterior
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def prepare_measurement(
     state: DensityOperator, observable: Observable
 ) -> MeasurementPlan:
@@ -429,14 +427,7 @@ def prepare_measurement(
     point come from the membrane geometry (projection and a linear solve)
     and are checked once against the Hilbert-space oracle Tr(D P_i); a gap
     above ORACLE_TOL raises OracleMismatchError, since the two routes agree
-    for every state and a correct simplex.  The last PLAN_CACHE_SIZE plans
-    are kept per (state, observable) object pair, both read-only, so a
-    repeat gets the plan a new preparation builds; errors are not kept.
-    The cache bounds the number of plans, not their bytes: at N=160 a plan
-    whose collapses have all fired holds 131 MB and pins a 65.7 MB simplex.
-    ``prepare_measurement.cache_clear()``, which the CLI calls once a
-    command's handler returns, frees them; it leaves the spin machine's
-    own cache of at most 16 N=2 plans be.
+    for every state and a correct simplex.  Each call prepares a new plan.
     """
     n = state.dimension
     if observable.dimension != n:
@@ -471,12 +462,18 @@ def luders_posterior(
     return DensityOperator(state.dimension, (m + m.conj().T) / 2.0)
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _held_plan(state: DensityOperator, observable: Observable) -> MeasurementPlan:
+    """``prepare_measurement``, kept for the last PLAN_CACHE_SIZE object pairs; errors are not."""
+    return prepare_measurement(state, observable)
+
+
 def run_measurement(
     state: DensityOperator, observable: Observable, model: MembraneModel,
     rng: np.random.Generator,
 ) -> tuple[float, CollapseTrace, DensityOperator]:
-    """One shot: the cached ``prepare_measurement`` then ``MeasurementPlan.measure``."""
-    return prepare_measurement(state, observable).measure(model, rng)
+    """One shot on ``_held_plan``'s plan, so a re-measured state is prepared once."""
+    return _held_plan(state, observable).measure(model, rng)
 
 
 def spin_machine_measure(
@@ -506,11 +503,10 @@ def _spin_plan_of_bits(
     """The plan of the N=2 point and axis with these float64 bits, and the unit axis.
 
     Keyed on bits, not values: -0.0 == 0.0, yet arctan2 keeps the sign of
-    zero, so the two axes' vertices differ.  Each plan is about 7 kB and
-    bypasses ``prepare_measurement``'s cache, which the state built here
-    could never hit.  A bad axis raises on every call: lru_cache keeps no errors.
+    zero, so the two axes' vertices differ.  Each plan kept here is about
+    7 kB, and a bad axis raises on every call: lru_cache keeps no errors.
     """
     a = np.frombuffer(axis_bits).reshape(axis_shape)
     observable = spin_observable(a)
     state = bloch_to_density(BlochVector(2, np.frombuffer(point_bits)))
-    return prepare_measurement.__wrapped__(state, observable), _frozen(_unit(a))
+    return prepare_measurement(state, observable), _frozen(_unit(a))

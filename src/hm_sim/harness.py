@@ -15,8 +15,7 @@ many workers share the blocks.
 
 An experiment is a list of jobs, each (job id, trials) on a membrane of
 the job, run on one prepared measurement of the state: a plain batch is
-one job, a universal average one job per membrane; a repeated state
-object reuses its plan from the bounded cache of ``prepare_measurement``.
+one job, a universal average one job per membrane; no plan outlives its call.
 Consecutive chunks of the jobs are packed into blocks of at most
 CHUNK_TRIALS rows: each chunk draws its random part from its own stream
 (a cellular chunk finds its cells on its own membrane, which is then
@@ -58,7 +57,7 @@ from .dynamics import (
     prepare_measurement,
 )
 from .errors import ConfigError, DimensionError, OracleMismatchError
-from .geometry import Observable, canonical_observable, spin_observable
+from .geometry import Observable, born_probabilities, canonical_observable, spin_observable
 
 # Trials per chunk.  Fixed: chunk boundaries define the random streams, so
 # changing this constant changes results, but worker counts never do.
@@ -216,8 +215,7 @@ def sample_elementary_outcomes(
 
     A batch of one job: ``job`` namespaces the random streams so distinct
     experiment parts sharing one master seed stay independent, and
-    ``workers`` only affects wall time.  The measurement is
-    ``prepare_measurement``'s, so a repeated state reuses its cached plan.
+    ``workers`` only affects wall time.  Each call prepares the state anew.
     """
     plan = prepare_measurement(state, observable)
     return _count_jobs(plan, lambda _: model, [job], [trials], source, workers)[0]
@@ -457,7 +455,7 @@ def batch_statistics(
     """
     counts = sample_elementary_outcomes(state, observable, model, trials, source, job,
                                         workers)
-    born = prepare_measurement(state, observable).born
+    born = born_probabilities(state, observable)
     return _verdict(observable, observable.block_sums(counts), observable.block_sums(born),
                     tolerance_sigmas, {})
 

@@ -149,10 +149,10 @@ _JSON_TYPES = {"object": lambda x: isinstance(x, dict), "array": lambda x: isins
                "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
                                      or isinstance(x, float) and x.is_integer())}
 # Each bound keyword: its JSON type, the test a value fails it by, jsonschema's words.
-_BOUNDS = {"minimum": ("number", operator.lt, lambda n: f"is less than the minimum of {n!r}"),
-           "maximum": ("number", operator.gt, lambda n: f"is greater than the maximum of {n!r}"),
+_BOUNDS = {"minimum": ("number", operator.lt, lambda n: "is less than the minimum of {arg!r}"),
+           "maximum": ("number", operator.gt, lambda n: "is greater than the maximum of {arg!r}"),
            "exclusiveMinimum": ("number", operator.le,
-                                lambda n: f"is less than or equal to the minimum of {n!r}"),
+                                lambda n: "is less than or equal to the minimum of {arg!r}"),
            "minItems": ("array", lambda node, n: len(node) < n,
                         lambda n: "should be non-empty" if n == 1 else "is too short"),
            "maxItems": ("array", lambda node, n: len(node) > n,
@@ -191,26 +191,26 @@ def _span_conforms(items: list, schema: dict) -> bool:
 def _errors(node, schema: dict, root: dict, path: tuple = ()):
     """Each violation of ``schema`` by ``node``, decided as Draft 2020-12 decides it.
 
-    A violation is (path, message, innermost schema, value), in jsonschema
-    4.26's order and words.  ``const`` and ``enum`` hold strings.
+    A violation is (path, words, arg, innermost schema, value), in jsonschema 4.26's
+    order; ``schema_error`` words only the one it picks.  ``const`` and ``enum`` hold strings.
     """
     for key, value in schema.items():
         if key == "type":
             if not _has_type(node, value):
                 types = ", ".join(map(repr, [value] if isinstance(value, str) else value))
-                yield path, f"{node!r} is not of type {types}", schema, node
+                yield path, "{node!r} is not of type {arg}", types, schema, node
         elif key == "const":
             if not (isinstance(node, str) and node == value):
-                yield path, f"{value!r} was expected", schema, node
+                yield path, "{arg!r} was expected", value, schema, node
         elif key == "enum":
             if not (isinstance(node, str) and node in value):
-                yield path, f"{node!r} is not one of {value!r}", schema, node
+                yield path, "{node!r} is not one of {arg!r}", value, schema, node
         elif key in _BOUNDS:
             applies, fails, says = _BOUNDS[key]
             if _JSON_TYPES[applies](node) and fails(node, value):
-                yield path, f"{node!r} {says(value)}", schema, node
+                yield path, "{node!r} " + says(value), value, schema, node
         elif key == "required":
-            yield from ((path, f"{name!r} is a required property", schema, node)
+            yield from ((path, "{arg!r} is a required property", name, schema, node)
                         for name in value if isinstance(node, dict) and name not in node)
         elif key == "properties":
             for name, sub in value.items() if isinstance(node, dict) else ():
@@ -221,8 +221,8 @@ def _errors(node, schema: dict, root: dict, path: tuple = ()):
                 node.keys() - schema.get("properties", {}).keys(), key=str)
             if extras:
                 names, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
-                yield (path, f"Additional properties are not allowed ({names} {verb} unexpected)",
-                       schema, node)
+                yield (path, "Additional properties are not allowed ({arg} unexpected)",
+                       f"{names} {verb}", schema, node)
         elif key == "items":
             if isinstance(node, list) and not _span_conforms(node, value):
                 for index, item in enumerate(node):
@@ -244,14 +244,18 @@ def _conforms(node, schema: dict, root: dict) -> bool:
 
 
 def schema_error(payload, name: str):
-    """The violation jsonschema's ``best_match`` picks for ``payload``, or None.
+    """(path, message, innermost schema, value) of the violation ``best_match`` picks, or None.
 
     By its ``relevance`` key less the ``anyOf``/``oneOf`` terms: the shallowest wins,
     then the greatest path, then one whose value lacks its schema's type, then the first.
     """
     schema = load_schema(name)
-    return max(_errors(payload, schema, schema), default=None, key=lambda error: (
-        -len(error[0]), error[0], not _has_type(error[3], error[2].get("type", ()))))
+    found = max(_errors(payload, schema, schema), default=None, key=lambda error: (
+        -len(error[0]), error[0], not _has_type(error[4], error[3].get("type", ()))))
+    if found is None:
+        return None
+    path, words, arg, sub, node = found
+    return path, words.format(node=node, arg=arg), sub, node
 
 
 def _field(path) -> str:

@@ -8,7 +8,7 @@ import hm_sim.geometry
 
 @pytest.fixture
 def no_live_simplexes():
-    """An empty simplex registry and empty plan caches.
+    """An empty simplex registry, and no plan kept for a later shot.
 
     Observables with the same eigenstate bits share one simplex while any
     of them holds it, so a test that counts builds starts here: then each
@@ -17,5 +17,5 @@ def no_live_simplexes():
     sees the registry the module declares.
     """
     hm_sim.geometry._simplexes.clear()
-    hm_sim.dynamics.prepare_measurement.cache_clear()
+    hm_sim.dynamics._held_plan.cache_clear()
     hm_sim.dynamics._spin_plan_of_bits.cache_clear()

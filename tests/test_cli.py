@@ -41,13 +41,20 @@ def test_spin_machine_pass_and_schema(capsys):
     assert payload["reports"][0]["expected"][0] == pytest.approx(0.75, abs=1e-9)
 
 
-def test_a_command_keeps_no_plan_for_its_report(capsys):
+def test_a_command_keeps_no_plan_for_its_report(tmp_path, capsys):
     # Its plans hold the observable's simplex, so keeping them past the
     # handler would add the simplex to the report stage's peak memory.
-    code, _, _ = run_cli(capsys, "verify-born", "--dimension", "3", "--states", "2",
-                         "--trials", "100")
-    assert code == 0
-    assert hm_sim.dynamics.prepare_measurement.cache_info().currsize == 0
+    # Only measure fills run_measurement's memo, yet every command must leave it empty.
+    for config in (_ua_config(), _measure_config()):
+        (tmp_path / f"{config['experiment']}.json").write_text(json.dumps(config))
+    for argv in (["spin-machine", "--angle", "1.0", "--trials", "100"],
+                 ["verify-born", "--dimension", "3", "--states", "2", "--trials", "100"],
+                 ["die", "--rolls", "100"],
+                 ["universal-average", "--config", str(tmp_path / "universal-average.json")],
+                 ["measure", "--config", str(tmp_path / "measure.json")]):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert hm_sim.dynamics._held_plan.cache_info().currsize == 0, argv
 
 
 def test_spin_machine_at_zero_angle_is_exact(capsys):

@@ -511,7 +511,7 @@ def test_a_shot_on_a_plan_is_the_single_shot(labels, kind, at_vertex):
     model = MEMBRANES[kind]
     blocks = set()
     for t in range(40):
-        prepare_measurement.cache_clear()  # so each single shot prepares anew
+        hm_sim.dynamics._held_plan.cache_clear()  # so each single shot prepares anew
         label, trace, posterior = run_measurement(d, obs, model, RandomSource(5).trial_stream(t))
         again, shot, shot_posterior = plan.measure(model, RandomSource(5).trial_stream(t))
         assert again == label
@@ -569,15 +569,16 @@ def test_an_equal_state_gets_its_own_plan_with_the_same_bytes():
     obs = canonical_observable(3, (1.0, 1.0, 2.0))
     psi = PureState.normalized([0.6, 0.48j, 0.64])
     d = pure_to_density(psi)
-    plan = prepare_measurement(d, obs)
+    held = hm_sim.dynamics._held_plan
+    plan = held(d, obs)
     twin = pure_to_density(psi)
     np.testing.assert_array_equal(twin.matrix, d.matrix)
-    assert prepare_measurement(twin, obs) is not plan
-    assert prepare_measurement(d, obs) is plan
+    assert held(twin, obs) is not plan
+    assert held(d, obs) is plan
     model = MembraneModel.uniform()
     shots = [plan.measure(model, RandomSource(11).trial_stream(t))[1] for t in range(20)]
-    prepare_measurement.cache_clear()
-    fresh = prepare_measurement(d, obs)
+    held.cache_clear()
+    fresh = held(d, obs)
     assert fresh is not plan
     for t, shot in enumerate(shots):
         _, trace, _ = fresh.measure(model, RandomSource(11).trial_stream(t))
@@ -585,23 +586,24 @@ def test_an_equal_state_gets_its_own_plan_with_the_same_bytes():
 
 
 def test_the_plan_cache_is_bounded_and_keeps_no_error(monkeypatch):
-    assert prepare_measurement.cache_info().maxsize == hm_sim.dynamics.PLAN_CACHE_SIZE == 8
+    held = hm_sim.dynamics._held_plan
+    assert held.cache_info().maxsize == hm_sim.dynamics.PLAN_CACHE_SIZE == 8
     monkeypatch.setattr(
         hm_sim.dynamics, "born_probabilities", lambda state, obs: np.full(2, math.nan)
     )
     d, obs = DensityOperator.maximally_mixed(2), canonical_observable(2)
     for _ in range(2):
         with pytest.raises(OracleMismatchError):
-            prepare_measurement(d, obs)
+            held(d, obs)
     monkeypatch.undo()
-    assert prepare_measurement(d, obs).oracle_gap <= 1e-9
+    assert held(d, obs).oracle_gap <= 1e-9
 
 
 def test_plan_with_another_observables_simplex_fails_the_oracle(monkeypatch, no_live_simplexes):
     d = pure_to_density(PureState.basis_state(2, 0))
     prepare_measurement(d, spin_observable([1.0, 0.0, 1.0]))
-    # The cached plan keeps that observable's simplex alive; with an empty
-    # registry the second observable must build its own.
+    # A plan still held would keep that observable's simplex alive; with an
+    # empty registry the second observable must build its own.
     monkeypatch.setattr(hm_sim.geometry, "_simplexes", weakref.WeakValueDictionary())
     foreign = make_simplex(2)
     monkeypatch.setattr(
@@ -680,12 +682,12 @@ def test_a_foreign_simplex_on_a_new_basis_fails_the_oracle(monkeypatch, no_live_
 def test_a_shared_simplex_dies_with_its_last_holder(no_live_simplexes):
     obs = _random_observable(32, 32)
     d = pure_to_density(PureState.basis_state(32, 0))
-    prepare_measurement(d, obs)  # the plan cache holds obs, and so its simplex
-    simplex = weakref.ref(obs.simplex)
+    run_measurement(d, obs, MembraneModel.uniform(), RandomSource(26).trial_stream(0))
+    simplex = weakref.ref(obs.simplex)  # run_measurement's memo holds obs, and so its simplex
     assert len(hm_sim.geometry._simplexes) == 1
     del obs
     assert simplex() is not None
-    prepare_measurement.cache_clear()
+    hm_sim.dynamics._held_plan.cache_clear()
     assert simplex() is None and len(hm_sim.geometry._simplexes) == 0
 
 
@@ -877,7 +879,7 @@ def test_a_repeated_spin_shot_is_the_uncached_shot(pairs, at_vertex):
                  RandomSource(23).trial_stream(t)))
              for t in range(30) for coordinates, axis in pairs]
     for coordinates, axis, t, outcome, trace in shots:
-        prepare_measurement.cache_clear()
+        hm_sim.dynamics._held_plan.cache_clear()
         state = bloch_to_density(BlochVector(2, np.array(coordinates)))
         observable = spin_observable(axis)
         assert (prepare_measurement(state, observable).at_vertex is not None) == at_vertex

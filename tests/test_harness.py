@@ -9,19 +9,22 @@ import pytest
 from helpers import (
     cellular_outcome_law,
     chi_square_thresholds,
+    random_orthonormal_frame,
     random_pure,
     threshold_table_source,
 )
+import hm_sim.geometry
 from hm_sim.bloch import PureState, pure_to_density
 from hm_sim.dynamics import MembraneModel, RandomSource, draw_breaks, prepare_measurement
 from hm_sim.errors import ConfigError, DimensionError
-from hm_sim.geometry import born_probabilities, canonical_observable
+from hm_sim.geometry import Observable, born_probabilities, canonical_observable
 from hm_sim.harness import (
     _CHI2_THRESHOLDS,
     CHUNK_TRIALS,
     ExperimentConfig,
     _hotelling_check,
     batch_statistics,
+    born_identity_max_gap,
     chi_square_check,
     random_pure_state,
     sample_elementary_outcomes,
@@ -389,6 +392,27 @@ def test_universal_average_holds_one_random_membrane_at_a_time():
     assert many <= 1.25 * few, (few, many)
 
 
+def test_library_batches_keep_no_simplex_alive(no_live_simplexes):
+    # Each call prepares its own plan and drops it, so only the caller's
+    # observables hold their simplexes: a kept plan would pin a third, the
+    # canonical N = 32 simplex universal-average builds, and the other two
+    # once the caller drops them.
+    n = 32
+    first, second = (Observable(n, tuple(PureState(n, frame[:, k]) for k in range(n)),
+                                tuple(float(k) for k in range(n)))
+                     for frame in (random_orthonormal_frame(np.random.default_rng(seed), n)
+                                   for seed in (1, 2)))
+    state = pure_to_density(random_pure_state(RandomSource(6), 0, n))
+    assert batch_statistics(state, first, MembraneModel.uniform(), 100,
+                            RandomSource(6)).trials == 100
+    assert born_identity_max_gap(state, second) <= 1e-9
+    universal_average_experiment(n, {"kind": "preset", "name": "maximally_mixed"},
+                                 {"kind": "canonical"}, 2, 2, 10, 6)
+    assert len(hm_sim.geometry._simplexes) == 2
+    del first, second, state
+    assert len(hm_sim.geometry._simplexes) == 0
+
+
 @pytest.mark.parametrize("kind", ("uniform", "cellular", "solipsistic"))
 def test_sampler_memory_does_not_grow_with_trials(kind):
     # Sixteen times the trials may not double the peak: the sampler keeps
@@ -402,7 +426,7 @@ def test_sampler_memory_does_not_grow_with_trials(kind):
     }[kind]
     state = pure_to_density(random_pure_state(RandomSource(3), 1, 3))
     obs = canonical_observable(3)
-    prepare_measurement(state, obs)  # cached, so neither peak holds the preparation
+    prepare_measurement(state, obs)  # builds the simplex, so neither peak holds it
 
     def peak(trials):
         tracemalloc.start()
