@@ -26,6 +26,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .bloch import (
+    ALGEBRAIC_TOL,
+    EIGEN_TOL,
     BlochVector,
     DensityOperator,
     bloch_to_density,
@@ -37,6 +39,7 @@ from .errors import (
     ConfigError,
     DimensionError,
     ImpossibleOutcomeError,
+    InvalidStateError,
     OracleMismatchError,
 )
 from .geometry import (
@@ -236,18 +239,20 @@ def _block_outcomes(
     Every chunk is of one membrane ``kind`` of ``m`` cells.  ``v`` (count,
     N) holds the breaks, ``work`` (count * N floats) the cellular
     exponentials, then scratch, ``x`` the slab coordinates and ``drawn``
-    the cells or vertex indices; ``heads`` indexes each chunk's first row.
-    Each step runs elementwise or along a row, so no break's weights or
-    outcome depend on how the rows were cut into chunks, and each chunk's
-    first row is normalised, as its own draw would normalise its row 0.  A
-    count of at least 1024 breaks with at most 8 outcomes is normalised and
-    classified column by column, with the same bytes.
+    the cells or vertex indices; ``heads`` lists each chunk's first row,
+    [0] for a lone chunk.  Each step runs elementwise or along a row, so
+    no break's weights or outcome depend on how the rows were cut into
+    chunks, and each chunk's first row is normalised, as its own draw
+    would normalise its row 0.  A count of at least 1024 breaks with at
+    most 8 outcomes is normalised and classified column by column, with
+    the same bytes.
     """
     if kind == "solipsistic":
         return drawn
     count, n = v.shape
     if m == 1:
-        v[heads] /= v[heads].sum(axis=1, keepdims=True)
+        for head in heads:  # indexing by the list would cost a single shot ~2 us more
+            v[head] /= v[head].sum()
     else:
         # x holds the slab coordinate s, 1 - s, (1 - s)^(1/(N-1)), then 1 - w0.
         np.minimum(drawn, m - 1, out=drawn)
@@ -288,11 +293,11 @@ def draw_breaks(
     ``u`` holds the barycentric weights of the landed state point.  ``v``, a
     C-contiguous (count, N) array, and ``work``, scratch space of v.size
     floats, are the caller's; a single shot passes new ones.  This is one
-    chunk of ``_draw_chunk`` finished by ``_block_outcomes``, the two parts
-    the batch sampler runs on blocks of many chunks.  The draw leaves row i
-    of ``v`` a positive multiple of the barycentric weights of break i, and
-    row 0 exactly them, the weights it returns and a single-shot trace
-    prints.  A uniform break is a row of unit-rate exponentials, which
+    chunk of ``_draw_chunk`` finished by ``_block_outcomes`` with heads
+    [0], as the batch sampler runs a block of one chunk.  The draw leaves
+    row i of ``v`` a positive multiple of the barycentric weights of break
+    i, and row 0 exactly them, the weights it returns and a single-shot
+    trace prints.  A uniform break is a row of unit-rate exponentials, which
     normalised is uniform on the simplex; the classifier ignores a row's
     scale, so only row 0 is normalised.  A single cell spans the whole
     simplex, so that membrane draws the uniform rows, draw for draw.  The
@@ -306,8 +311,7 @@ def draw_breaks(
     count, n = v.shape
     x = np.empty(count)
     drawn = _draw_chunk(model, rng, v, work[:count * (n - 1)], x)
-    outcomes = _block_outcomes(model.kind, model.cell_count, u, v, work, x, drawn,
-                               slice(0, 1))
+    outcomes = _block_outcomes(model.kind, model.cell_count, u, v, work, x, drawn, [0])
     return outcomes, None if model.kind == "solipsistic" else v[0].copy()
 
 
@@ -450,7 +454,14 @@ def prepare_measurement(
 def luders_posterior(
     state: DensityOperator, observable: Observable, block: tuple[int, ...]
 ) -> DensityOperator:
-    """P_M D P_M / Tr(P_M D P_M) for the projection onto an outcome block."""
+    """P_M D P_M / Tr(P_M D P_M) for the projection onto an outcome block.
+
+    Dividing by the block weight w scales D's eigenvalues, which may reach
+    -EIGEN_TOL, by 1/w.  A posterior rejected for an eigenvalue no lower
+    than -(EIGEN_TOL + N * ALGEBRAIC_TOL) / w, D's allowance plus its
+    Hermitian and rounding slack, is clipped to a state: its eigenvalues
+    floored at 0, then scaled to trace 1.  Any other rejection raises.
+    """
     p = observable.projector(block)
     weight = float(np.real(np.einsum("ij,ji->", p, state.matrix)))
     if weight <= MIN_BLOCK_PROB:
@@ -459,7 +470,16 @@ def luders_posterior(
             "the sampled outcome is inconsistent with the state"
         )
     m = p @ state.matrix @ p / weight
-    return DensityOperator(state.dimension, (m + m.conj().T) / 2.0)
+    m = (m + m.conj().T) / 2.0
+    try:
+        return DensityOperator(state.dimension, m)
+    except InvalidStateError as error:
+        low = error.min_eigenvalue
+        if low is None or low * weight < -(EIGEN_TOL + state.dimension * ALGEBRAIC_TOL):
+            raise
+    values, vectors = np.linalg.eigh(m)
+    values = np.maximum(values, 0.0)
+    return DensityOperator(state.dimension, vectors * (values / values.sum()) @ vectors.conj().T)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)

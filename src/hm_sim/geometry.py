@@ -325,20 +325,16 @@ def classify_weights(v: np.ndarray, u: np.ndarray,
     the argmin unchanged, so a row need not be normalised (in floating point
     only ratios within rounding of a tie could flip); the batch sampler
     classifies unnormalised rows on this ground.  ``out``, if given,
-    receives the ratios v / u and may be ``v`` itself.  A long chunk of
-    short rows is classified by ``_classify_by_columns`` instead, with the
-    same outcomes.
+    receives the ratios v / u and may be ``v`` itself; a zero weight of p
+    gets the ratio inf, without a division.  A long chunk of short rows is
+    classified by ``_classify_by_columns`` instead, with the same outcomes.
     """
     # A zero weight of p means the sub-simplex is a measure-zero sliver the
-    # membrane cannot tear into; never classify there.  Only then can a
-    # ratio divide by zero, so only then are its warnings silenced.
+    # membrane cannot tear into; never classify there.  Its ratio is inf,
+    # written in place of a division by zero.
     zero = u == 0.0
-    if zero.any():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.divide(v, u, out=out)
-        ratios[..., zero] = np.inf
-    else:
-        ratios = np.divide(v, u, out=out)
+    ratios = np.divide(v, u, out=out, where=~zero)
+    ratios[..., zero] = np.inf
     return np.argmin(ratios, axis=-1)
 
 

@@ -4,14 +4,14 @@ Batches of membrane measurements are executed vectorized: breaking points
 are drawn as rows of barycentric weights (uniform ones up to scale) and
 classified against the landed state point, a block of at least 1024 rows
 of at most 8 outcomes column by column, else in one argmin.  One thread
-runs about 9-29 million uniform trials per second at N = 8 down to N = 2,
-6-25 million cellular (50 cells) and 74-92 million solipsistic ones
-(2-vCPU Xeon VM, numpy 2.4, one traced mc-batch benchmark run).  Trials
-are organized in fixed-size chunks, each chunk drawing from its own
-derived random stream.  A batch keeps only the count of each outcome,
-added up block by block, so its memory does not grow with the number of
-trials and its counts are identical regardless of execution order or how
-many workers share the blocks.
+runs about 13-48 million uniform trials per CPU second at N = 8 down to
+N = 2, 8-39 million cellular (50 cells) and 116-127 million solipsistic
+ones (2-vCPU Xeon VM, numpy 2.4.6, one BLAS thread, batches of 2 * 10^6
+trials, best of 3).  Trials are organized in fixed-size chunks, each
+chunk drawing from its own derived random stream.  A batch keeps only the
+count of each outcome, added up block by block, so its memory does not
+grow with the number of trials and its counts are identical regardless of
+execution order or how many workers share the blocks.
 
 An experiment is a list of jobs, each (job id, trials) on a membrane of
 the job, run on one prepared measurement of the state: a plain batch is
@@ -250,10 +250,11 @@ def _count_jobs(plan, membrane, jobs, trials, source, workers) -> np.ndarray:
     ``membrane(j)``; all are of one kind and cell count.  Its chunk c draws
     from ``source.chunk_stream(j, c)``, whatever else shares its block
     (``_blocks``).  A worker draws each chunk's random part into its
-    block's arrays, building the chunk's membrane unless it holds that
-    job's already; it drops the one it holds first, so each worker holds
-    at most one membrane.  Then one pass weights, classifies and counts
-    the whole block, one ``bincount`` of i * N + outcome.  Worker w runs
+    block's arrays, its cells or vertex indices into ``drawn``, building
+    the chunk's membrane unless it holds that job's already; it drops the
+    one it holds first, so each worker holds at most one membrane.  Then
+    one pass weights, classifies and counts the whole block, one chunk or
+    many, one ``bincount`` of i * N + outcome.  Worker w runs
     blocks w, w + workers, ...; integer sums are exact in any order, so
     counts do not depend on ``workers``.  No more threads run than blocks
     or CPUs, and a single one needs no pool.  A job split over the blocks
@@ -278,7 +279,7 @@ def _count_jobs(plan, membrane, jobs, trials, source, workers) -> np.ndarray:
         x, drawn = np.empty(rows), np.empty(rows, dtype=np.intp)
         held = held_slot = None
         for block in itertools.islice(_blocks(jobs, trials), w, None, workers):
-            lo, heads, one = 0, [], len(block) == 1
+            lo, heads = 0, []
             for slot, job, c, size in block:
                 if slot != held_slot:
                     held = None
@@ -286,14 +287,13 @@ def _count_jobs(plan, membrane, jobs, trials, source, workers) -> np.ndarray:
                 hi = lo + size
                 part = _draw_chunk(held, source.chunk_stream(job, c), v[lo:hi],
                                    work[lo * (n - 1):hi * (n - 1)], x[lo:hi])
-                if part is not None and not one:
+                if part is not None:
                     drawn[lo:hi] = part
                 heads.append(lo)
                 lo = hi
             outcomes = _block_outcomes(held.kind, held.cell_count, plan.u, v[:lo], work,
-                                       x[:lo], part if one else drawn[:lo],
-                                       slice(0, 1) if one else heads)
-            if not one:
+                                       x[:lo], drawn[:lo], heads)
+            if len(block) > 1:  # a lone chunk's offsets are all 0
                 outcomes = outcomes + np.repeat(np.arange(0, len(block) * n, n),
                                                 [size for *_, size in block])
             hits = np.bincount(outcomes, minlength=len(block) * n).reshape(-1, n)

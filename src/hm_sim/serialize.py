@@ -142,10 +142,12 @@ def load_schema(name: str) -> dict:
 
 # Draft 2020-12's JSON types: a bool is no number, an integral float is an integer, any
 # other number (numpy's too) is a number; only a list is an array, only a dict an object.
+# float and int are tested before the numbers.Number ABC, whose check costs more.
 _JSON_TYPES = {"object": lambda x: isinstance(x, dict), "array": lambda x: isinstance(x, list),
                "string": lambda x: isinstance(x, str), "boolean": lambda x: isinstance(x, bool),
                "null": lambda x: x is None,
-               "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+               "number": lambda x: (isinstance(x, (float, int, numbers.Number))
+                                    and not isinstance(x, bool)),
                "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
                                      or isinstance(x, float) and x.is_integer())}
 # Each bound keyword: its JSON type, the test a value fails it by, jsonschema's words.

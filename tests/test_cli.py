@@ -17,6 +17,7 @@ import hm_sim.cli
 import hm_sim.dynamics
 import hm_sim.geometry
 import hm_sim.harness
+from hm_sim.bloch import DensityOperator, density_to_bloch
 from hm_sim.cli import DEFAULT_SEED, main, resolve_seed
 from hm_sim.dynamics import RandomSource
 from hm_sim.errors import ConfigError, OracleMismatchError
@@ -607,6 +608,25 @@ def test_bloch_vector_outside_the_state_space_exits_2_naming_the_eigenvalue(
     assert err == (
         "error: matrix is not positive semidefinite (min eigenvalue -3.333e-01)\n"
     )
+
+
+def test_a_state_at_the_edge_of_its_eigenvalue_bound_measures_on_every_seed(tmp_path,
+                                                                           capsys):
+    # Its eigenvalue -0.9e-10 divided by the block weight, about 1/2, would
+    # reject the posterior of block (0, 1); the posterior is clipped instead.
+    low, high = -0.9e-10, (1 + 0.9e-10) / 2
+    state = DensityOperator(3, [[low, 0, 0], [0, high, 0], [0, 0, high]])
+    coordinates = density_to_bloch(state).coordinates.tolist()
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_measure_config(
+        dimension=3, state={"kind": "bloch", "coordinates": coordinates},
+        observable={"kind": "canonical", "labels": [0, 0, 1]})))
+    blocks = set()
+    for seed in range(10):
+        code, out, err = run_cli(capsys, "measure", "--config", str(cfg), "--seed", str(seed))
+        assert (code, err) == (0, ""), seed
+        blocks.add(tuple(json.loads(out)["trace"]["outcome_block"]))
+    assert (0, 1) in blocks
 
 
 def test_a_bloch_coordinate_near_the_float_limit_exits_2_at_the_ball(tmp_path, capsys):

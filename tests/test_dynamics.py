@@ -719,13 +719,21 @@ def test_every_accepted_state_maps_prepares_and_measures(n, matrix):
 
     state = DensityOperator(n, matrix)
     density_to_bloch(state)
-    obs = canonical_observable(n)  # non-degenerate: every posterior is a pure state
-    prepare_measurement(state, obs)
-    for model in (MembraneModel.uniform(), MembraneModel.cellular([0.2] * 5)):
-        for t in range(20):
-            run_measurement(state, obs, model, RandomSource(23).trial_stream(t))
-    counts = sample_elementary_outcomes(state, obs, MembraneModel.uniform(), 20000,
-                                        RandomSource(23))
+    # On the degenerate observable the posterior of block (0, 1) divides the
+    # state's negative eigenvalues by the block weight; re-measured, it stays.
+    degenerate = canonical_observable(n, (0, 0) + tuple(range(1, n - 1)))
+    for obs in (canonical_observable(n), degenerate):
+        prepare_measurement(state, obs)
+        for model in (MembraneModel.uniform(), MembraneModel.cellular([0.2] * 5)):
+            for t in range(20):
+                source = RandomSource(23)
+                label, first, posterior = run_measurement(state, obs, model,
+                                                          source.trial_stream(2 * t))
+                again, second, _ = run_measurement(posterior, obs, model,
+                                                   source.trial_stream(2 * t + 1))
+                assert (again, second.outcome_block) == (label, first.outcome_block)
+    counts = sample_elementary_outcomes(state, canonical_observable(n), MembraneModel.uniform(),
+                                        20000, RandomSource(23))
     assert counts.sum() == 20000
 
 
