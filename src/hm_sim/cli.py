@@ -33,6 +33,7 @@ from .errors import (ConfigError, HmSimError, ImpossibleOutcomeError, OracleMism
 from .geometry import canonical_observable
 from .harness import (
     TOLERANCE_SIGMAS,
+    batch_reports,
     batch_statistics,
     born_identity_max_gap,
     random_pure_state,
@@ -99,16 +100,14 @@ def _verify_born(cfg: dict, seed: int, workers: int) -> tuple[dict, list, None]:
 
     source = RandomSource(seed)
     observable = canonical_observable(dim)
-    model = MembraneModel.uniform()
-    entries = []
-    for i in range(states):
-        psi = random_pure_state(source, i, dim)
-        gap = born_identity_max_gap(pure_to_density(psi), observable)
-        # Normalised twice, as the old pure-spec round trip did; a golden re-record drops it.
-        state = pure_to_density(PureState.normalized(psi.amplitudes))
-        report = batch_statistics(state, observable, model, trials, source,
-                                  _tolerance(cfg), job=i, workers=workers)
-        entries.append(report_entry(f"state-{i:03d}", report, analytic_max_gap=gap))
+    psis = [random_pure_state(source, i, dim) for i in range(states)]
+    gaps = [born_identity_max_gap(pure_to_density(psi), observable) for psi in psis]
+    # Normalised twice, as the old pure-spec round trip did; a golden re-record drops it.
+    twice = [pure_to_density(PureState.normalized(psi.amplitudes)) for psi in psis]
+    reports = batch_reports(twice, observable, MembraneModel.uniform(), trials, source,
+                            _tolerance(cfg), workers)
+    entries = [report_entry(f"state-{i:03d}", report, analytic_max_gap=gap)
+               for i, (report, gap) in enumerate(zip(reports, gaps))]
     meta = {"dimension": dim, "states": states, "trials": trials,
             "analytic_tolerance": ORACLE_TOL}
     return meta, entries, None

@@ -231,7 +231,7 @@ def _draw_chunk(
 
 
 def _block_outcomes(
-    kind: str, m: int, u: np.ndarray, v: np.ndarray, work: np.ndarray, x: np.ndarray,
+    kind: str, m: int, v: np.ndarray, work: np.ndarray, x: np.ndarray,
     drawn: np.ndarray | None, heads,
 ) -> np.ndarray:
     """Outcomes of the breaks whose random parts ``_draw_chunk`` drew, chunk after chunk.
@@ -239,19 +239,19 @@ def _block_outcomes(
     Every chunk is of one membrane ``kind`` of ``m`` cells.  ``v`` (count,
     N) holds the breaks, ``work`` (count * N floats) the cellular
     exponentials, then scratch, ``x`` the slab coordinates and ``drawn``
-    the cells or vertex indices; ``heads`` lists each chunk's first row,
-    [0] for a lone chunk.  Each step runs elementwise or along a row, so
-    no break's weights or outcome depend on how the rows were cut into
-    chunks, and each chunk's first row is normalised, as its own draw
-    would normalise its row 0.  A count of at least 1024 breaks with at
-    most 8 outcomes is normalised and classified column by column, with
-    the same bytes.
+    the cells or vertex indices; ``heads`` lists each chunk's first row and
+    its plan's landed weights u, [(0, u)] for a lone chunk.  Each step runs
+    elementwise or along a row, and each run of chunks on one u is
+    classified on its own, so no outcome depends on how the rows were cut,
+    and each chunk's first row is normalised as its own draw would.  A
+    block (weights) or run (outcomes) of at least 1024 breaks with at most
+    8 outcomes goes column by column, with the same bytes.
     """
     if kind == "solipsistic":
         return drawn
     count, n = v.shape
     if m == 1:
-        for head in heads:  # indexing by the list would cost a single shot ~2 us more
+        for head, _ in heads:  # indexing by the list would cost a single shot ~2 us more
             v[head] /= v[head].sum()
     else:
         # x holds the slab coordinate s, 1 - s, (1 - s)^(1/(N-1)), then 1 - w0.
@@ -279,9 +279,13 @@ def _block_outcomes(
             for j in range(n - 1):
                 np.divide(e[:, j], total, out=v[:, j + 1])
                 v[:, j + 1] *= x
-    if _by_columns(count, n):
-        return _classify_by_columns(v, u, work)
-    return classify_weights(v, u, out=work[:v.size].reshape(v.shape))
+    runs = [h for k, h in enumerate(heads) if not k or h[1] is not heads[k - 1][1]]
+    outcomes = []
+    for (lo, u), (hi, _) in zip(runs, runs[1:] + [(count, None)]):
+        rows = v[lo:hi]
+        outcomes.append(_classify_by_columns(rows, u, work) if _by_columns(hi - lo, n)
+                        else classify_weights(rows, u, out=work[:rows.size].reshape(rows.shape)))
+    return outcomes[0] if len(outcomes) == 1 else np.concatenate(outcomes)
 
 
 def draw_breaks(
@@ -294,7 +298,7 @@ def draw_breaks(
     C-contiguous (count, N) array, and ``work``, scratch space of v.size
     floats, are the caller's; a single shot passes new ones.  This is one
     chunk of ``_draw_chunk`` finished by ``_block_outcomes`` with heads
-    [0], as the batch sampler runs a block of one chunk.  The draw leaves
+    [(0, u)], as the batch sampler runs a block of one chunk.  The draw leaves
     row i of ``v`` a positive multiple of the barycentric weights of break
     i, and row 0 exactly them, the weights it returns and a single-shot
     trace prints.  A uniform break is a row of unit-rate exponentials, which
@@ -311,7 +315,7 @@ def draw_breaks(
     count, n = v.shape
     x = np.empty(count)
     drawn = _draw_chunk(model, rng, v, work[:count * (n - 1)], x)
-    outcomes = _block_outcomes(model.kind, model.cell_count, u, v, work, x, drawn, [0])
+    outcomes = _block_outcomes(model.kind, model.cell_count, v, work, x, drawn, [(0, u)])
     return outcomes, None if model.kind == "solipsistic" else v[0].copy()
 
 

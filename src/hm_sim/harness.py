@@ -2,30 +2,30 @@
 
 Batches of membrane measurements are executed vectorized: breaking points
 are drawn as rows of barycentric weights (uniform ones up to scale) and
-classified against the landed state point, a block of at least 1024 rows
-of at most 8 outcomes column by column, else in one argmin.  One thread
-runs about 13-48 million uniform trials per CPU second at N = 8 down to
-N = 2, 8-39 million cellular (50 cells) and 116-127 million solipsistic
-ones (2-vCPU Xeon VM, numpy 2.4.6, one BLAS thread, batches of 2 * 10^6
-trials, best of 3).  Trials are organized in fixed-size chunks, each
-chunk drawing from its own derived random stream.  A batch keeps only the
-count of each outcome, added up block by block, so its memory does not
-grow with the number of trials and its counts are identical regardless of
-execution order or how many workers share the blocks.
+classified against the landed state point, a run of at least 1024 rows of
+at most 8 outcomes column by column, else in one argmin.  One thread runs
+about 13-48 million uniform trials per CPU second at N = 8 down to N = 2,
+8-39 million cellular (50 cells) and 116-127 million solipsistic ones
+(2-vCPU Xeon VM, numpy 2.4.6, one BLAS thread, batches of 2 * 10^6
+trials, best of 3).
 
-An experiment is a list of jobs, each (job id, trials) on a membrane of
-the job, run on one prepared measurement of the state: a plain batch is
-one job, a universal average one job per membrane; no plan outlives its call.
-Consecutive chunks of the jobs are packed into blocks of at most
-CHUNK_TRIALS rows: each chunk draws its random part from its own stream
-(a cellular chunk finds its cells on its own membrane, which is then
-dropped), and one pass weights, classifies and counts the whole block.
-So a job of 100 trials costs its stream and its membrane, not a chunk's
-fixed costs, and a full chunk is a block of its own.  The preparation
+One sampler route counts every experiment: a list of jobs, each (job id,
+trials) on a prepared measurement of a state (a plan) and a membrane of
+its own.  A plain batch is one job, verify-born one job per state, and a
+universal average one job per membrane, all on one plan; no plan outlives
+its call.  A job's trials are cut into fixed-size chunks, each drawing its
+random part from its own stream (a cellular chunk finds its cells on its
+own membrane, which is then dropped), and consecutive chunks are packed
+into blocks of at most CHUNK_TRIALS rows.  One pass weights a block, one
+classifies each run of its rows on one plan, and one counts it.  So a job
+of 100 trials costs its stream and its membrane, not a chunk's fixed
+costs.  A batch keeps only the count of each outcome, so its memory does
+not grow with the number of trials, and its counts do not depend on
+execution order or on how many workers share the blocks.  The preparation
 carries two probability routes, the Hilbert-space oracle Tr(D P_i) and the
 membrane geometry (barycentric coordinates of the projected state), which
-must agree to 1e-9 or the run aborts.  One verdict then compares the
-outcome-block counts to the oracle: binomial sigma bands and Pearson
+must agree to 1e-9 or the run aborts.  One verdict per plan then compares
+the outcome-block counts to the oracle: binomial sigma bands and Pearson
 chi-square, or, over random membranes, between-membrane bands and
 Hotelling T^2.
 """
@@ -218,7 +218,7 @@ def sample_elementary_outcomes(
     ``workers`` only affects wall time.  Each call prepares the state anew.
     """
     plan = prepare_measurement(state, observable)
-    return _count_jobs(plan, lambda _: model, [job], [trials], source, workers)[0]
+    return _count_jobs([plan], lambda _: model, [job], [trials], source, workers)[0]
 
 
 def _blocks(jobs, trials):
@@ -228,7 +228,7 @@ def _blocks(jobs, trials):
     into chunks of CHUNK_TRIALS and a shorter last one; consecutive chunks
     share a block of at most CHUNK_TRIALS rows while they fit.  A full
     chunk fills a block of its own, so a job appears at most once in a
-    block, and a block's job numbers i run consecutively.
+    block, and a block's job numbers i rise, skipping only jobs of 0 runs.
     """
     block, rows = [], 0
     for slot, (job, count) in enumerate(zip(jobs, trials)):
@@ -243,34 +243,34 @@ def _blocks(jobs, trials):
         yield block
 
 
-def _count_jobs(plan, membrane, jobs, trials, source, workers) -> np.ndarray:
+def _count_jobs(plans, membrane, jobs, trials, source, workers) -> np.ndarray:
     """(len(jobs), N) int64 outcome counts of ``trials[i]`` runs of job id ``jobs[i]``.
 
-    Every run measures ``plan``.  Job j runs on the membrane
-    ``membrane(j)``; all are of one kind and cell count.  Its chunk c draws
-    from ``source.chunk_stream(j, c)``, whatever else shares its block
-    (``_blocks``).  A worker draws each chunk's random part into its
-    block's arrays, its cells or vertex indices into ``drawn``, building
-    the chunk's membrane unless it holds that job's already; it drops the
-    one it holds first, so each worker holds at most one membrane.  Then
-    one pass weights, classifies and counts the whole block, one chunk or
-    many, one ``bincount`` of i * N + outcome.  Worker w runs
-    blocks w, w + workers, ...; integer sums are exact in any order, so
-    counts do not depend on ``workers``.  No more threads run than blocks
-    or CPUs, and a single one needs no pool.  A job split over the blocks
-    of two workers builds its membrane in each.
+    Job j = ``jobs[i]`` measures ``plans[i]`` on the membrane ``membrane(j)``;
+    the plans share one N, the membranes one kind and cell count.  A job on
+    an eigenstate counts its runs there (first kind) and draws nothing; any
+    other job's chunk c draws from ``source.chunk_stream(j, c)``, whatever
+    else shares its block (``_blocks``).  A worker draws each chunk's
+    random part into its block's arrays, its cells or vertex indices into
+    ``drawn``, building the chunk's membrane unless it holds that job's
+    already; it drops the one it holds first, so each worker holds at most
+    one membrane.  Then one pass weights the block, one classifies each run
+    of its rows on one plan, and one ``bincount`` of i * N + outcome counts
+    it.  Worker w runs blocks w, w + workers, ...; integer sums are exact
+    in any order, so counts do not depend on ``workers``.  No more threads
+    run than blocks or CPUs, and a single one needs no pool.  A job split
+    over the blocks of two workers builds its membrane in each.
     """
-    n = len(plan.u)
+    n = len(plans[0].u)
     counts = np.zeros((len(jobs), n), dtype=np.int64)
     if min(trials) < 1:
         raise ConfigError(f"trials must be >= 1, got {min(trials)}")
-    if plan.at_vertex is not None:
-        # Eigenstate input: that outcome occurs with certainty under every
-        # membrane model (first-kind condition).
-        counts[:, plan.at_vertex] = trials
-        return counts
-    rows = min(CHUNK_TRIALS, sum(trials))
-    workers = (min(workers, sum(1 for _ in _blocks(jobs, trials)), os.cpu_count() or 1)
+    drawing = list(trials)  # the runs each job draws
+    for i, plan in enumerate(plans):
+        if plan.at_vertex is not None:
+            counts[i, plan.at_vertex], drawing[i] = trials[i], 0
+    rows = min(CHUNK_TRIALS, sum(drawing))
+    workers = (min(workers, sum(1 for _ in _blocks(jobs, drawing)) or 1, os.cpu_count() or 1)
                if workers > 1 else 1)
     lock = threading.Lock()
 
@@ -278,7 +278,7 @@ def _count_jobs(plan, membrane, jobs, trials, source, workers) -> np.ndarray:
         v, work = np.empty((rows, n)), np.empty(rows * n)
         x, drawn = np.empty(rows), np.empty(rows, dtype=np.intp)
         held = held_slot = None
-        for block in itertools.islice(_blocks(jobs, trials), w, None, workers):
+        for block in itertools.islice(_blocks(jobs, drawing), w, None, workers):
             lo, heads = 0, []
             for slot, job, c, size in block:
                 if slot != held_slot:
@@ -289,17 +289,17 @@ def _count_jobs(plan, membrane, jobs, trials, source, workers) -> np.ndarray:
                                    work[lo * (n - 1):hi * (n - 1)], x[lo:hi])
                 if part is not None:
                     drawn[lo:hi] = part
-                heads.append(lo)
+                heads.append((lo, plans[slot].u))
                 lo = hi
-            outcomes = _block_outcomes(held.kind, held.cell_count, plan.u, v[:lo], work,
-                                       x[:lo], drawn[:lo], heads)
+            outcomes = _block_outcomes(held.kind, held.cell_count, v[:lo], work, x[:lo],
+                                       drawn[:lo], heads)
+            first, last = block[0][0], block[-1][0]
             if len(block) > 1:  # a lone chunk's offsets are all 0
-                outcomes = outcomes + np.repeat(np.arange(0, len(block) * n, n),
+                outcomes = outcomes + np.repeat([(slot - first) * n for slot, *_ in block],
                                                 [size for *_, size in block])
-            hits = np.bincount(outcomes, minlength=len(block) * n).reshape(-1, n)
-            first = block[0][0]
+            hits = np.bincount(outcomes, minlength=(last - first + 1) * n).reshape(-1, n)
             with lock:
-                counts[first:first + len(block)] += hits
+                counts[first:last + 1] += hits
 
     if workers == 1:
         count_blocks(0)
@@ -403,9 +403,9 @@ class ConvergenceReport:
 
 
 def _verdict(
-    observable, counts, oracle_blocks, tolerance_sigmas, meta, between_membranes=None
+    observable, counts, born, tolerance_sigmas, meta, between_membranes=None
 ) -> ConvergenceReport:
-    """Sigma bands and a goodness-of-fit check of ``counts`` against the oracle.
+    """Sigma bands and a fit check of ``counts`` against ``born``, each summed by block.
 
     The bands are binomial, and the check is Pearson's chi-square, unless
     ``between_membranes`` gives the between-membrane standard error and the
@@ -414,6 +414,7 @@ def _verdict(
     """
     if not tolerance_sigmas > 0:  # NaN fails too
         raise ConfigError(f"tolerance_sigmas must be positive, got {tolerance_sigmas}")
+    counts, oracle_blocks = observable.block_sums(counts), observable.block_sums(born)
     trials = int(counts.sum())
     # A block's Born sum may round to just above 1; p(1 - p) is then 0, not negative.
     sigma = np.sqrt(np.maximum(oracle_blocks * (1 - oracle_blocks), 0.0) / trials)
@@ -455,9 +456,16 @@ def batch_statistics(
     """
     counts = sample_elementary_outcomes(state, observable, model, trials, source, job,
                                         workers)
-    born = born_probabilities(state, observable)
-    return _verdict(observable, observable.block_sums(counts), observable.block_sums(born),
+    return _verdict(observable, counts, born_probabilities(state, observable),
                     tolerance_sigmas, {})
+
+
+def batch_reports(states, observable, model, trials, source, tolerance_sigmas, workers) -> list:
+    """``batch_statistics`` of each state, job i for state i, all counted in one job list."""
+    plans = [prepare_measurement(state, observable) for state in states]
+    counts = _count_jobs(plans, lambda _: model, range(len(plans)), [trials] * len(plans),
+                         source, workers)
+    return [_verdict(observable, c, p.born, tolerance_sigmas, {}) for p, c in zip(plans, counts)]
 
 
 def simulate_statistics(
@@ -574,15 +582,14 @@ def universal_average_experiment(
         membrane = ((lambda _: fixed) if fixed is not None else
                     (lambda i: _random_membrane(source.membrane_stream(i), cell_count)))
         jobs, trials = range(k), [n] * k
-    rows = observable_op.block_sums(_count_jobs(plan, membrane, jobs, trials, source,
-                                                workers))
-    oracle_blocks = observable_op.block_sums(plan.born)
+    counts = _count_jobs([plan] * len(jobs), membrane, jobs, trials, source, workers)
 
     between_membranes = None
     if cell_count > 1 and fixed is None and k >= 2:
-        membrane_freqs = rows / n
+        membrane_freqs = observable_op.block_sums(counts) / n
         se = np.std(membrane_freqs, axis=0, ddof=1) / np.sqrt(k)
-        between_membranes = se, _hotelling_check(membrane_freqs, oracle_blocks)
+        between_membranes = se, _hotelling_check(membrane_freqs,
+                                                 observable_op.block_sums(plan.born))
 
     meta = {
         "cells": cell_count,
@@ -591,8 +598,7 @@ def universal_average_experiment(
         "fixed_cell_weights": fixed_cell_weights is not None,
     }
     return _verdict(
-        observable_op, rows.sum(axis=0), oracle_blocks, tolerance_sigmas, meta,
-        between_membranes,
+        observable_op, counts.sum(axis=0), plan.born, tolerance_sigmas, meta, between_membranes
     )
 
 

@@ -332,6 +332,33 @@ def test_verify_born_builds_one_simplex_for_all_its_states(monkeypatch, capsys,
     assert code == 0 and len(calls) == 1
 
 
+def test_verify_born_counts_all_its_states_in_one_job_list(monkeypatch, capsys):
+    # Five states of two chunks each fill ten blocks: one sampler call
+    # counts them all, and two workers share one pool over the blocks.
+    count_jobs = hm_sim.harness._count_jobs
+    calls, pools = [], []
+
+    def counting(plans, *args):
+        calls.append(len(plans))
+        return count_jobs(plans, *args)
+
+    class CountedPool(hm_sim.harness.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(hm_sim.harness, "_count_jobs", counting)
+    monkeypatch.setattr(hm_sim.harness, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(hm_sim.harness.os, "cpu_count", lambda: 4)
+    outs = []
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(capsys, "verify-born", "--dimension", "3", "--states", "5",
+                               "--trials", "10000", "--workers", workers)
+        assert code == 0
+        outs.append(out)
+    assert calls == [5, 5] and len(pools) == 1 and outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("argv", [
     ("spin-machine", "--angle", "1.0", "--trials", "1000"),
     ("die", "--rolls", "600"),

@@ -322,20 +322,31 @@ def test_packed_jobs_count_what_each_chunk_draws_alone(n, monkeypatch):
     # Jobs of 1, 100 and 8191 trials share blocks with the short last chunk
     # of their neighbours, 8192 fills one, and 8193 and 20000 leave a short
     # chunk behind.  Each job's counts are the bincount of the oracle draw
-    # of each of its chunks, on its own membrane and its own chunk stream,
-    # whatever shares its block, for either worker count; every chunk
-    # stream is derived exactly once.  The second landed point has an exact
-    # zero weight.
+    # of each of its chunks, on its own membrane, its own plan and its own
+    # chunk stream, whatever shares its block, for either worker count;
+    # every chunk stream is derived exactly once.  The jobs measure one
+    # plan, one with an exact zero weight, or a plan each.  Then the zero
+    # weight is the first 100-trial job's, which shares a block classified
+    # by rows, and the 20000-trial job's, whose short last chunk shares a
+    # block with the last job, classified by columns at N <= 8; the
+    # eigenstate of the second 100-trial job between them counts with
+    # certainty and draws nothing.
     import hm_sim.harness
 
     jobs = [(7, 1), (3, 100), (11, 8191), (0, 8192), (5, 8193), (9, 1), (4, 20000),
             (2, 100), (8, 1)]
     rng = np.random.default_rng(30 + n)
-    plan = prepare_measurement(pure_to_density(random_pure_state(RandomSource(6), n, n)),
-                               canonical_observable(n))
+    obs = canonical_observable(n)
+    own = [prepare_measurement(pure_to_density(random_pure_state(RandomSource(6), n + k, n)),
+                               obs) for k in range(len(jobs))]
+    plan = own[0]
     zero_u = np.array(plan.u)
     zero_u[n // 2] = 0.0
     zero_u /= zero_u.sum()
+    zero = dataclasses.replace(plan, u=zero_u)
+    own[1] = own[6] = zero
+    own[7] = prepare_measurement(pure_to_density(PureState.basis_state(n, 1)), obs)
+    assert own[7].at_vertex == 1 and all(p.at_vertex is None for p in own[:7] + own[8:])
     laws = [{job: MembraneModel.uniform() for job, _ in jobs},
             {job: MembraneModel.solipsistic() for job, _ in jobs}]
     laws += [{job: MembraneModel.cellular(rng.dirichlet(np.ones(m))) for job, _ in jobs}
@@ -348,10 +359,15 @@ def test_packed_jobs_count_what_each_chunk_draws_alone(n, monkeypatch):
         calls.append((job, chunk))
         return chunk_stream(self, job, chunk)
 
-    for p in (plan, dataclasses.replace(plan, u=zero_u)):
+    for plans in ([plan] * len(jobs), [zero] * len(jobs), own):
+        drawing = [(job, trials) for p, (job, trials) in zip(plans, jobs)
+                   if p.at_vertex is None]
         for law in laws:
             expected = np.zeros((len(jobs), n), dtype=np.int64)
-            for row, (job, trials) in zip(expected, jobs):
+            for row, p, (job, trials) in zip(expected, plans, jobs):
+                if p.at_vertex is not None:
+                    row[p.at_vertex] = trials
+                    continue
                 for c in range(-(-trials // CHUNK_TRIALS)):
                     size = min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS)
                     outcomes, _ = oracle_chunk_outcomes(law[job], p.u, size,
@@ -361,15 +377,18 @@ def test_packed_jobs_count_what_each_chunk_draws_alone(n, monkeypatch):
                 patch.setattr(RandomSource, "chunk_stream", recorded)
                 for workers in (1, 2):
                     calls.clear()
-                    got = hm_sim.harness._count_jobs(p, law.__getitem__, *zip(*jobs),
+                    got = hm_sim.harness._count_jobs(plans, law.__getitem__, *zip(*jobs),
                                                      source, workers)
                     assert got.dtype == np.int64
                     np.testing.assert_array_equal(got, expected)
                     assert sorted(calls) == sorted(
-                        (job, c) for job, trials in jobs
+                        (job, c) for job, trials in drawing
                         for c in range(-(-trials // CHUNK_TRIALS)))
-            if p is not plan and law[0].kind != "solipsistic":
-                assert not got[:, n // 2].any()
+            if law[0].kind != "solipsistic":
+                for row, p in zip(got, plans):
+                    assert p is not zero or row[n // 2] == 0
+            if plans is own:
+                assert got[7].tolist() == [0, 100] + [0] * (n - 2)
 
 
 def test_universal_average_holds_one_random_membrane_at_a_time():

@@ -4,7 +4,8 @@ The CLI promises identical report bytes for a fixed seed and config.  These
 digests pin that promise at test speed for one run of each command, plus
 a ``measure`` of a Bloch-vector state, two fixed-weights universal-average
 runs, which are expected failures (exit 1), one-cell universal-average
-runs, random-weight runs on each verdict branch and a die rolled from a face;
+runs, random-weight runs on each verdict branch, a die rolled from a face
+and a verify-born run whose states share blocks, on one worker and two;
 four of the runs are pinned as CSV too.  The full byte contract is the
 benchmark's ``bench/golden.json``.
 A change that moves report bytes on purpose re-records these digests
@@ -126,6 +127,10 @@ CASES = {
                              "cb5d059da8ee1cdd5f2c3ea30a36662d55b00406a33541ac4c12c5f2febc28c9"),
     "die-on-table": (["die", "--start", "on_table:4", "--rolls", "600"], None,
                      "334ffca39b27f4d152daa634f88271640dccd8f03e33a89aba23142c75243ebd"),
+    # Nine states of 3000 trials: two states share each block but the last.
+    "verify-born-packed": (["verify-born", "--dimension", "4", "--states", "9",
+                            "--trials", "3000"], None,
+                           "3403d54d3d1c6b3ac94169adbba123a754f7e733a769d4081be6ac05e77b087b"),
 }
 
 EXPECTED_EXIT = {"fixed-last-cell": 1, "fixed-spread": 1}
@@ -155,6 +160,12 @@ def _digest(tmp_path, capsys, name, *extra):
 @pytest.mark.parametrize("name", list(CASES))
 def test_report_bytes_are_pinned(tmp_path, capsys, name):
     assert _digest(tmp_path, capsys, name) == CASES[name][2]
+
+
+def test_packed_states_give_the_same_bytes_on_two_workers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # two workers even on one CPU
+    name = "verify-born-packed"
+    assert _digest(tmp_path, capsys, name, "--workers", "2") == CASES[name][2]
 
 
 @pytest.mark.parametrize("name", list(CSV_DIGESTS))
