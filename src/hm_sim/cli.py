@@ -27,15 +27,14 @@ import os
 import sys
 
 from .bloch import BlochVector, DensityOperator, PureState, bloch_to_density, pure_to_density
-from .dynamics import ORACLE_TOL, MembraneModel, RandomSource, _held_plan, run_measurement
+from .dynamics import (ORACLE_TOL, MembraneModel, RandomSource, _held_plan, prepare_measurement,
+                       run_measurement)
 from .errors import (ConfigError, HmSimError, ImpossibleOutcomeError, OracleMismatchError,
                      ReportSchemaError)
 from .geometry import canonical_observable
 from .harness import (
     TOLERANCE_SIGMAS,
     batch_reports,
-    batch_statistics,
-    born_identity_max_gap,
     random_pure_state,
     resolve_membrane_spec,
     resolve_observable_spec,
@@ -81,10 +80,9 @@ def _spin_machine(cfg: dict, seed: int, workers: int) -> tuple[dict, list, None]
     angle = cfg["angle"]
     trials = int(cfg.get("trials", 100000))
     state = bloch_to_density(BlochVector(2, [math.sin(angle), 0.0, math.cos(angle)]))
-    report = batch_statistics(
-        state, canonical_observable(2, (0.5, -0.5)), MembraneModel.uniform(), trials,
-        RandomSource(seed), _tolerance(cfg), workers=workers,
-    )
+    [report] = batch_reports([state], canonical_observable(2, (0.5, -0.5)),
+                             MembraneModel.uniform(), trials, RandomSource(seed),
+                             _tolerance(cfg), workers)
     meta = {
         "angle": angle,
         "trials": trials,
@@ -101,7 +99,7 @@ def _verify_born(cfg: dict, seed: int, workers: int) -> tuple[dict, list, None]:
     source = RandomSource(seed)
     observable = canonical_observable(dim)
     psis = [random_pure_state(source, i, dim) for i in range(states)]
-    gaps = [born_identity_max_gap(pure_to_density(psi), observable) for psi in psis]
+    gaps = [prepare_measurement(pure_to_density(psi), observable).oracle_gap for psi in psis]
     # Normalised twice, as the old pure-spec round trip did; a golden re-record drops it.
     twice = [pure_to_density(PureState.normalized(psi.amplitudes)) for psi in psis]
     reports = batch_reports(twice, observable, MembraneModel.uniform(), trials, source,
@@ -121,10 +119,9 @@ def _die(cfg: dict, seed: int, workers: int) -> tuple[dict, list, None]:
     else:  # on_table:K, with K in 1..6 by the schema
         face = int(start.split(":", 1)[1])
         state = pure_to_density(PureState.basis_state(6, face - 1))
-    report = batch_statistics(
-        state, canonical_observable(6, range(1, 7)), MembraneModel.solipsistic(),
-        rolls, RandomSource(seed), _tolerance(cfg), workers=workers,
-    )
+    [report] = batch_reports([state], canonical_observable(6, range(1, 7)),
+                             MembraneModel.solipsistic(), rolls, RandomSource(seed),
+                             _tolerance(cfg), workers)
     return {"rolls": rolls, "start": start}, [report_entry("die", report)], None
 
 

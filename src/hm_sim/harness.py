@@ -11,16 +11,16 @@ trials, best of 3).
 
 One sampler route counts every experiment: a list of jobs, each (job id,
 trials) on a prepared measurement of a state (a plan) and a membrane of
-its own.  A plain batch is one job, verify-born one job per state, and a
-universal average one job per membrane, all on one plan; no plan outlives
-its call.  A job's trials are cut into fixed-size chunks, each drawing its
-random part from its own stream (a cellular chunk finds its cells on its
-own membrane, which is then dropped), and consecutive chunks are packed
-into blocks of at most CHUNK_TRIALS rows.  One pass weights a block, one
-classifies each run of its rows on one plan, and one counts it.  So a job
-of 100 trials costs its stream and its membrane, not a chunk's fixed
-costs.  A batch keeps only the count of each outcome, so its memory does
-not grow with the number of trials, and its counts do not depend on
+its own.  ``batch_reports`` runs one job per state, each on its own plan,
+and a universal average one job per membrane, all on one plan; no plan
+outlives its call.  A job's trials are cut into fixed-size chunks, each
+drawing its random part from its own stream (a cellular chunk finds its
+cells on its own membrane, which is then dropped), and consecutive chunks
+are packed into blocks of at most CHUNK_TRIALS rows.  One pass weights a
+block, one classifies each run of its rows on one plan, and one counts it.
+So a job of 100 trials costs its stream and its membrane, not a chunk's
+fixed costs.  A batch keeps only the count of each outcome, so its memory
+does not grow with the number of trials, and its counts do not depend on
 execution order or on how many workers share the blocks.  The preparation
 carries two probability routes, the Hilbert-space oracle Tr(D P_i) and the
 membrane geometry (barycentric coordinates of the projected state), which
@@ -213,8 +213,8 @@ def sample_elementary_outcomes(
 ) -> np.ndarray:
     """N int64 counts: how often each elementary outcome occurs in ``trials`` runs.
 
-    A batch of one job: ``job`` namespaces the random streams so distinct
-    experiment parts sharing one master seed stay independent, and
+    A library and benchmark entry point for one job: ``job`` namespaces the
+    random streams so parts sharing one master seed stay independent, and
     ``workers`` only affects wall time.  Each call prepares the state anew.
     """
     plan = prepare_measurement(state, observable)
@@ -336,7 +336,7 @@ def chi_square_check(observed_counts, expected_probabilities) -> ChiSquareResult
     total = float(observed.sum())
     if total <= 0:
         raise ConfigError("cannot test all-zero counts")
-    if abs(float(expected.sum()) - 1.0) > 1e-9:
+    if not abs(float(expected.sum()) - 1.0) <= 1e-9:  # NaN fails too
         raise ConfigError("expected probabilities must sum to 1")
 
     retain = expected >= 10.0 / total
@@ -398,7 +398,7 @@ class ConvergenceReport:
 
     def __post_init__(self):
         freq = np.asarray(self.empirical_frequencies, dtype=float)
-        if abs(float(freq.sum()) - 1.0) > 1e-12:
+        if not abs(float(freq.sum()) - 1.0) <= 1e-12:  # NaN fails too
             raise OracleMismatchError("empirical frequencies must sum to 1")
 
 
@@ -444,24 +444,15 @@ def _verdict(
     )
 
 
-def batch_statistics(
-    state: DensityOperator, observable: Observable, model: MembraneModel, trials: int,
-    source: RandomSource, tolerance_sigmas: float = TOLERANCE_SIGMAS, job: int = 0,
-    workers: int = 1,
-) -> ConvergenceReport:
-    """Run ``trials`` measurements as one batch and compare them to the oracle.
+def batch_reports(states, observable, model, trials, source,
+                  tolerance_sigmas=TOLERANCE_SIGMAS, workers=1) -> list:
+    """A verdict per state on ``trials`` runs, job i for state i, in one job list.
 
-    ``job`` namespaces the batch's streams of ``source``; ``workers`` only
-    changes wall time.
+    The batch entry point of every command: each verdict takes its oracle
+    from the plan its counts ran on; ``workers`` only changes wall time.
     """
-    counts = sample_elementary_outcomes(state, observable, model, trials, source, job,
-                                        workers)
-    return _verdict(observable, counts, born_probabilities(state, observable),
-                    tolerance_sigmas, {})
-
-
-def batch_reports(states, observable, model, trials, source, tolerance_sigmas, workers) -> list:
-    """``batch_statistics`` of each state, job i for state i, all counted in one job list."""
+    if not states:
+        raise ConfigError("batch_reports needs at least one state")
     plans = [prepare_measurement(state, observable) for state in states]
     counts = _count_jobs(plans, lambda _: model, range(len(plans)), [trials] * len(plans),
                          source, workers)
@@ -471,14 +462,18 @@ def batch_reports(states, observable, model, trials, source, tolerance_sigmas, w
 def simulate_statistics(
     config: ExperimentConfig, job: int = 0, workers: int = 1
 ) -> ConvergenceReport:
-    """The spec-dict form of ``batch_statistics``, for library and benchmark callers."""
-    return batch_statistics(
-        resolve_state_spec(config.state, config.dimension),
-        resolve_observable_spec(config.observable, config.dimension),
-        resolve_membrane_spec(config.membrane),
-        config.trials, RandomSource(config.master_seed), config.tolerance_sigmas,
-        job, workers,
-    )
+    """A spec-dict batch, a library and benchmark entry point; ``job`` keys its streams.
+
+    It counts through ``sample_elementary_outcomes``, whose span the bench tracer and
+    ``tests/test_bench_bindings.py`` pin, and judges against ``born_probabilities``.
+    """
+    state = resolve_state_spec(config.state, config.dimension)
+    observable = resolve_observable_spec(config.observable, config.dimension)
+    counts = sample_elementary_outcomes(state, observable,
+                                        resolve_membrane_spec(config.membrane), config.trials,
+                                        RandomSource(config.master_seed), job, workers)
+    return _verdict(observable, counts, born_probabilities(state, observable),
+                    config.tolerance_sigmas, {})
 
 
 def _hotelling_check(
@@ -617,6 +612,7 @@ def born_identity_max_gap(
 ) -> float:
     """Max componentwise gap between the geometric and Born probabilities.
 
-    A gap above ``dynamics.ORACLE_TOL`` raises OracleMismatchError instead.
+    A library and benchmark entry point, a new plan's ``oracle_gap``; a gap
+    above ``dynamics.ORACLE_TOL`` raises OracleMismatchError instead.
     """
     return prepare_measurement(state, observable).oracle_gap

@@ -58,6 +58,35 @@ def test_a_command_keeps_no_plan_for_its_report(tmp_path, capsys):
         assert hm_sim.dynamics._held_plan.cache_info().currsize == 0, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["spin-machine", "--angle", "1.0", "--trials", "100"],
+    ["verify-born", "--dimension", "3", "--states", "4", "--trials", "100"],
+    ["die", "--rolls", "100"],
+])
+def test_a_batch_command_counts_once_and_takes_its_oracle_from_the_counted_plans(
+        monkeypatch, capsys, argv):
+    # One job list for all of a command's states, and no second oracle call:
+    # each verdict reads the born array of the plan its counts ran on.
+    def second_oracle(*args):
+        raise AssertionError("a batch command recomputed the oracle")
+
+    calls = []
+    count_jobs = hm_sim.harness._count_jobs
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return count_jobs(*args)
+
+    for module in (hm_sim.harness, hm_sim.cli):
+        for name in ("born_probabilities", "born_identity_max_gap"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, second_oracle)
+    monkeypatch.setattr(hm_sim.harness, "_count_jobs", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == [4 if argv[0] == "verify-born" else 1]
+
+
 def test_spin_machine_at_zero_angle_is_exact(capsys):
     code, out, _ = run_cli(capsys, "spin-machine", "--angle", "0", "--trials", "5000")
     assert code == 0

@@ -1,6 +1,7 @@
-"""The package's public names, the README sketch that uses them, and the
-value semantics of its types."""
+"""The package's public names, the README sketch that uses them, the
+value semantics of its types, and the guards of its library calls."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -41,6 +42,11 @@ def _trace():
     return run_measurement(_mixed(), _observable(), hm_sim.MembraneModel.uniform(), rng)[1]
 
 
+def _report():
+    return harness.batch_reports([_mixed()], _observable(), hm_sim.MembraneModel.uniform(),
+                                 100, hm_sim.RandomSource(3))[0]
+
+
 # One constructor per frozen dataclass that holds arrays.  Generated
 # field-wise equality would compare the arrays and raise, so these compare
 # and hash by identity.
@@ -53,9 +59,7 @@ ARRAY_HOLDERS = {
     "MembraneModel": lambda: hm_sim.MembraneModel.cellular([0.25, 0.75]),
     "CollapseTrace": _trace,
     "MeasurementPlan": lambda: prepare_measurement(_mixed(), _observable()),
-    "ConvergenceReport": lambda: harness.batch_statistics(
-        _mixed(), _observable(), hm_sim.MembraneModel.uniform(), 100,
-        hm_sim.RandomSource(3)),
+    "ConvergenceReport": _report,
 }
 
 
@@ -65,3 +69,72 @@ def test_array_holding_types_compare_and_hash_by_identity(name):
     assert type(a).__name__ == name
     assert (a == a) is True and (a == b) is False and (a != b) is True
     assert len({hash(a), hash(b)}) == 2 and len({a, b}) == 2
+
+
+def _report_with(frequencies):
+    return dataclasses.replace(_report(), empirical_frequencies=np.asarray(frequencies))
+
+
+_MIXED_SPEC = {"kind": "preset", "name": "maximally_mixed"}
+_E = np.eye(8)
+
+# (guarded call, error class, message pattern): one bad input per guard that
+# only a malformed library call can reach, each through a public name.
+GUARDS = {
+    "density-dimension": (lambda: hm_sim.DensityOperator(1, [[1.0]]),
+                          hm_sim.DimensionError, "dimension must be >= 2"),
+    "pure-dimension": (lambda: hm_sim.PureState(1, [1.0]),
+                       hm_sim.DimensionError, "dimension must be >= 2"),
+    "pure-amplitudes": (lambda: hm_sim.PureState(2, [1.0, 0.0, 0.0]),
+                        hm_sim.DimensionError, "expected 2 amplitudes"),
+    "eigenstate-dimension": (
+        lambda: hm_sim.Observable(2, (hm_sim.PureState(3, _E[0, :3]),
+                                      hm_sim.PureState(3, _E[1, :3])), (0, 1)),
+        hm_sim.DimensionError, "eigenstate dimension mismatch"),
+    "simplex-shape": (lambda: hm_sim.MeasurementSimplex(2, np.zeros((2, 4))),
+                      hm_sim.DimensionError, "expected 2 vertices of length 3"),
+    "simplex-not-regular": (lambda: hm_sim.MeasurementSimplex(3, _E[[0, 1, 2]]),
+                            hm_sim.GeometryError, "not a regular inscribed simplex"),
+    "project-dimension": (
+        lambda: hm_sim.project_onto_membrane(hm_sim.BlochVector(3, np.zeros(8)),
+                                             _observable().simplex),
+        hm_sim.DimensionError, "state and simplex dimensions differ"),
+    "barycentric-dimension": (
+        lambda: hm_sim.barycentric_coordinates(hm_sim.BlochVector(3, np.zeros(8)),
+                                               _observable().simplex),
+        hm_sim.DimensionError, "point and simplex dimensions differ"),
+    "born-dimension": (
+        lambda: hm_sim.born_probabilities(hm_sim.DensityOperator.maximally_mixed(3),
+                                          _observable()),
+        hm_sim.DimensionError, "state and observable dimensions differ"),
+    "prepare-dimension": (
+        lambda: prepare_measurement(hm_sim.DensityOperator.maximally_mixed(3), _observable()),
+        hm_sim.DimensionError, "state and observable dimensions differ"),
+    "state-preset": (lambda: harness.resolve_state_spec({"kind": "preset", "name": "x"}, 2),
+                     hm_sim.ConfigError, "unknown state preset 'x'"),
+    "observable-kind": (lambda: harness.resolve_observable_spec({"kind": "x"}, 2),
+                        hm_sim.ConfigError, "unknown observable kind 'x'"),
+    "membrane-kind": (lambda: harness.resolve_membrane_spec({"kind": "x"}),
+                      hm_sim.ConfigError, "unknown membrane kind 'x'"),
+    "expected-sum": (lambda: hm_sim.chi_square_check([1, 1], [0.5, 0.4]),
+                     hm_sim.ConfigError, "expected probabilities must sum to 1"),
+    "frequency-sum": (lambda: _report_with([0.5, 0.4]),
+                      hm_sim.OracleMismatchError, "empirical frequencies must sum to 1"),
+    "frequency-nan": (lambda: _report_with([np.nan, 0.5]),
+                      hm_sim.OracleMismatchError, "empirical frequencies must sum to 1"),
+    "cell-count": (
+        lambda: hm_sim.universal_average_experiment(2, _MIXED_SPEC, {"kind": "canonical"},
+                                                    0, 2, 10, 1),
+        hm_sim.ConfigError, "cell_count must be >= 1"),
+    "membrane-samples": (
+        lambda: hm_sim.universal_average_experiment(2, _MIXED_SPEC, {"kind": "canonical"},
+                                                    2, 0, 10, 1),
+        hm_sim.ConfigError, "membrane_samples must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDS))
+def test_each_library_guard_rejects_its_malformed_input(case):
+    call, error, message = GUARDS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -23,7 +23,7 @@ from hm_sim.harness import (
     CHUNK_TRIALS,
     ExperimentConfig,
     _hotelling_check,
-    batch_statistics,
+    batch_reports,
     born_identity_max_gap,
     chi_square_check,
     random_pure_state,
@@ -422,8 +422,8 @@ def test_library_batches_keep_no_simplex_alive(no_live_simplexes):
                      for frame in (random_orthonormal_frame(np.random.default_rng(seed), n)
                                    for seed in (1, 2)))
     state = pure_to_density(random_pure_state(RandomSource(6), 0, n))
-    assert batch_statistics(state, first, MembraneModel.uniform(), 100,
-                            RandomSource(6)).trials == 100
+    [report] = batch_reports([state], first, MembraneModel.uniform(), 100, RandomSource(6))
+    assert report.trials == 100
     assert born_identity_max_gap(state, second) <= 1e-9
     universal_average_experiment(n, {"kind": "preset", "name": "maximally_mixed"},
                                  {"kind": "canonical"}, 2, 2, 10, 6)
@@ -508,6 +508,8 @@ def test_chi_square_pools_rare_blocks_and_rejects_zero_counts():
     assert res.degrees_of_freedom == 2
     with pytest.raises(ConfigError):
         chi_square_check([0, 0], [0.5, 0.5])
+    with pytest.raises(ConfigError, match="sum to 1"):
+        chi_square_check([1, 1], [math.nan, 0.5])
     with pytest.raises(DimensionError):
         chi_square_check([1, 2, 3], [0.5, 0.5])
 
@@ -735,13 +737,15 @@ def test_config_validation():
         )
 
 
-@pytest.mark.parametrize("trials, tolerance_sigmas, bad", [
-    (0, 4.0, "trials"), (-5, 4.0, "trials"),
-    (100, 0.0, "tolerance_sigmas"), (100, -1.0, "tolerance_sigmas"),
+@pytest.mark.parametrize("states, trials, tolerance_sigmas, bad", [
+    (1, 0, 4.0, "trials"), (1, -5, 4.0, "trials"),
+    (1, 100, 0.0, "tolerance_sigmas"), (1, 100, -1.0, "tolerance_sigmas"),
+    (0, 100, 4.0, "at least one state"),
 ])
-def test_batch_statistics_rejects_bad_trials_and_tolerance(trials, tolerance_sigmas, bad):
+def test_batch_reports_rejects_bad_states_trials_and_tolerance(states, trials,
+                                                               tolerance_sigmas, bad):
     # Warnings are errors here, so a RuntimeWarning before the ConfigError fails too.
     state = pure_to_density(PureState.normalized([1.0, 1.0]))
     with pytest.raises(ConfigError, match=bad):
-        batch_statistics(state, canonical_observable(2), MembraneModel.uniform(), trials,
-                         RandomSource(1), tolerance_sigmas)
+        batch_reports([state] * states, canonical_observable(2), MembraneModel.uniform(),
+                      trials, RandomSource(1), tolerance_sigmas)
