@@ -107,7 +107,7 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A unit-norm complex amplitude vector; ``abs(overlap)`` compares two modulo phase."""
+    """A unit-norm complex amplitude vector."""
 
     dimension: int
     amplitudes: np.ndarray
@@ -142,9 +142,6 @@ class PureState:
         a[index] = 1.0
         return cls(dimension, a)
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True, eq=False)
 class BlochVector:
@@ -174,10 +171,6 @@ class BlochVector:
         if not norm <= 1.0 + self.dimension * EIGEN_TOL:  # NaN fails too
             raise InvalidStateError(f"norm {norm:.12f} exceeds 1; not a point of the ball")
         object.__setattr__(self, "coordinates", _frozen(c))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coordinates))
 
 
 def build_generator_basis(dimension: int) -> np.ndarray:

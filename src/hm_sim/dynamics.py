@@ -416,7 +416,7 @@ class MeasurementPlan:
         trace = CollapseTrace(
             initial_state=self.bloch,
             on_membrane_point=self.on_membrane,
-            breaking_point=BlochVector(n, obs.simplex.from_barycentric(break_w)),
+            breaking_point=BlochVector(n, break_w @ obs.simplex.vertices),
             outcome_block=block,
             outcome_label=obs.eigenvalue_labels[block[0]],
             intermediate_point=intermediate,

@@ -194,9 +194,6 @@ class MeasurementSimplex:
         # The checks above imply N - 1 independent edges, Gram matrix N/(N-1) (I + J).
         object.__setattr__(self, "frame", _frozen(_orthonormal_frame(v)))
 
-    def from_barycentric(self, weights: np.ndarray) -> np.ndarray:
-        return np.asarray(weights, dtype=float) @ self.vertices
-
 
 def _orthonormal_frame(vertices: np.ndarray) -> np.ndarray:
     """Deterministic Gram-Schmidt over edge vectors, two passes for stability."""

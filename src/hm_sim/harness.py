@@ -172,13 +172,7 @@ def resolve_observable_spec(spec: dict, dimension: int) -> Observable:
 
 def resolve_membrane_spec(spec: dict) -> MembraneModel:
     kind = spec.get("kind")
-    if kind == "uniform":
-        return MembraneModel.uniform()
-    if kind == "solipsistic":
-        return MembraneModel.solipsistic()
-    if kind == "cellular":
-        return MembraneModel.cellular(spec["weights"])
-    raise ConfigError(f"unknown membrane kind {kind!r}")
+    return MembraneModel(kind, spec["weights"] if kind == "cellular" else None)
 
 
 @dataclass(frozen=True)
@@ -196,7 +190,6 @@ class ExperimentConfig:
     membrane: dict
     trials: int
     master_seed: int
-    tolerance_sigmas: float = TOLERANCE_SIGMAS
 
 
 # --- vectorized sampling -------------------------------------------------------
@@ -473,7 +466,7 @@ def simulate_statistics(
                                         resolve_membrane_spec(config.membrane), config.trials,
                                         RandomSource(config.master_seed), job, workers)
     return _verdict(observable, counts, born_probabilities(state, observable),
-                    config.tolerance_sigmas, {})
+                    TOLERANCE_SIGMAS, {})
 
 
 def _hotelling_check(

@@ -133,7 +133,7 @@ def test_ground_state_bloch_vector():
     np.testing.assert_allclose(expected, [0.0, 0.0, 1.0], atol=1e-15)
     r = density_to_bloch(d)
     np.testing.assert_allclose(r.coordinates, expected, atol=1e-14)
-    assert r.norm == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(r.coordinates) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -165,10 +165,10 @@ def test_purity_criterion(n):
         psi = random_pure(rng, n)
         d = pure_to_density(psi)
         assert abs(purity(d) - 1.0) <= 1e-10
-        assert abs(density_to_bloch(d).norm - 1.0) <= 1e-10
+        assert abs(np.linalg.norm(density_to_bloch(d).coordinates) - 1.0) <= 1e-10
     mixed = random_density(rng, n)
     if abs(purity(mixed) - 1.0) > 1e-6:
-        assert density_to_bloch(mixed).norm < 1.0
+        assert np.linalg.norm(density_to_bloch(mixed).coordinates) < 1.0
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -261,7 +261,7 @@ def test_pure_state_validation():
         PureState.normalized([0.0, 0.0])
     a = PureState.normalized([1.0, 1.0])
     b = PureState.normalized([1.0j, 1.0j])
-    assert abs(abs(a.overlap(b)) - 1.0) <= 1e-10  # equal up to a global phase
+    assert abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - 1.0) <= 1e-10  # equal up to a global phase
     # NaN fails every comparison, so the norm check passes only a number.
     with pytest.raises(InvalidStateError, match="unit norm"):
         PureState(2, np.array([math.nan, 0.0]))

@@ -1,5 +1,6 @@
 """CLI exit codes, idempotence, manifest rules, env seed handling."""
 
+import ast
 import errno
 import json
 import math
@@ -22,7 +23,7 @@ from hm_sim.cli import DEFAULT_SEED, main, resolve_seed
 from hm_sim.dynamics import RandomSource
 from hm_sim.errors import ConfigError, OracleMismatchError
 from hm_sim.harness import random_pure_state
-from hm_sim.serialize import validate_config_payload, validate_report_payload
+from hm_sim.serialize import load_schema, validate_config_payload, validate_report_payload
 
 
 def run_cli(capsys, *argv):
@@ -651,6 +652,59 @@ def test_integers_beyond_the_float_range_exit_2_naming_the_field(tmp_path, capsy
         2, "", f"error: config field {field}: not a finite number\n")
 
 
+_NOT_ALLOWED = "Additional properties are not allowed ({} was unexpected)"
+
+
+@pytest.mark.parametrize(
+    "config, field, message",
+    [
+        ({"schema_version": "1", "experiment": "verify-born", "dimension": 2, "states": 2,
+          "trails": 5}, "<root>", _NOT_ALLOWED.format("'trails'")),
+        (_measure_config(state={"kind": "pure", "re": [1.0, 0.0], "img": [0.0, 0.0]}),
+         "state", _NOT_ALLOWED.format("'img'")),
+        (_measure_config(observable={"kind": "canonical", "label": [0.5, -0.5]}),
+         "observable", _NOT_ALLOWED.format("'label'")),
+        (_measure_config(observable={"kind": "explicit", "labels": [0.5, -0.5],
+                                     "eigenstates": [{"re": [1.0, 0.0], "imag": [0.0, 0.0]},
+                                                     {"re": [0.0, 1.0]}]}),
+         "observable/eigenstates/0", _NOT_ALLOWED.format("'imag'")),
+        (_measure_config(membrane={"kind": "uniform", "weight": [1.0]}),
+         "membrane", _NOT_ALLOWED.format("'weight'")),
+        # A field another command reads is checked against its declaration.
+        ({"schema_version": "1", "experiment": "die", "trials": 0}, "trials",
+         "0 is less than the minimum of 1"),
+    ],
+    ids=["root", "state", "observable", "eigenstate", "membrane", "foreign-field"],
+)
+def test_a_misspelt_or_bad_foreign_field_exits_2_naming_it(tmp_path, capsys, config, field,
+                                                           message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(capsys, config["experiment"], "--config", str(cfg)) == (
+        2, "", f"error: config field {field}: {message}\n")
+
+
+def test_a_valid_foreign_field_is_ignored(tmp_path, capsys):
+    argv = _config_argv(tmp_path, "die", {"rolls": 100, "trials": 5, "dimension": 3})
+    assert run_cli(capsys, *argv) == run_cli(capsys, "die", "--rolls", "100")
+
+
+def test_every_config_field_a_command_reads_is_declared_and_no_other():
+    # Once the schema is closed, a read of an undeclared field would reject every config.
+    tree = ast.parse(Path(hm_sim.cli.__file__).read_text(encoding="utf-8"))
+    read = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)):
+            read.add(node.slice.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "cfg"):
+            read.add(node.args[0].value)
+    declared = load_schema("config.schema.json")["properties"].keys() - {"schema_version"}
+    assert read == declared
+
+
 def test_bloch_vector_outside_the_state_space_exits_2_naming_the_eigenvalue(
     tmp_path, capsys
 ):
@@ -1019,16 +1073,15 @@ def test_a_deeply_nested_rejected_value_prints_a_short_line(tmp_path, capsys, de
 
 @pytest.mark.parametrize("depth", [500, 1000])
 def test_a_deeply_nested_unknown_root_key_runs_or_exits_2(tmp_path, capsys, depth):
-    # The schema admits unknown root keys, so the run is the plain one, as long as
-    # the parser can read the document; one nested deeper than its recursion
-    # limit is unreadable.
+    # The schema rejects an unknown root key by name, as long as the parser can
+    # read the document; one nested deeper than its recursion limit is unreadable.
     config = {"schema_version": "1", "experiment": "die", "rolls": 100, "bogus": "NESTED"}
     code, out, err = run_cli(capsys, "die", "--config", _nested_config(tmp_path, config, depth))
+    assert (code, out) == (2, "")
     if depth == 500:
-        assert (code, err) == (0, "")
-        assert out == run_cli(capsys, "die", "--rolls", "100")[1]
+        assert err == ("error: config field <root>: Additional properties are not allowed "
+                       "('bogus' was unexpected)\n")
     else:
-        assert (code, out) == (2, "")
         assert err.startswith("error: cannot read config ") and err.count("\n") == 1, err
         assert "maximum recursion depth exceeded" in err
 

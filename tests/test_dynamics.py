@@ -347,7 +347,7 @@ def test_collapse_trace_invariants_nondegenerate():
             project_onto_membrane(trace.initial_state, s).coordinates,
         )
         # final state is the outcome vertex, on the unit sphere
-        assert abs(trace.final_state.norm - 1.0) <= 1e-10
+        assert abs(np.linalg.norm(trace.final_state.coordinates) - 1.0) <= 1e-10
         assert np.max(np.abs(trace.final_state.coordinates - s.vertices[i])) <= 1e-12
         assert np.max(np.abs(trace.intermediate_point.coordinates - s.vertices[i])) <= 1e-12
         # posterior is the eigenprojector
@@ -373,7 +373,7 @@ def test_luders_identity_degenerate():
         assert np.max(np.abs(posterior.matrix - expected)) <= 1e-12
         if block == (0, 1):
             # posterior of a pure state stays pure: unit-sphere final point
-            assert abs(trace.final_state.norm - 1.0) <= 1e-10
+            assert abs(np.linalg.norm(trace.final_state.coordinates) - 1.0) <= 1e-10
 
 
 def test_degenerate_block_probability_matches_born_sum():

@@ -239,7 +239,7 @@ def test_volume_and_solve_routes_agree(n):
     s = make_simplex(n)
     for _ in range(20):
         w = rng.dirichlet(np.ones(n))
-        p = BlochVector(n, s.from_barycentric(w))
+        p = BlochVector(n, w @ s.vertices)
         via_volumes = subsimplex_volume_fractions(p, s)
         via_solve = barycentric_coordinates(p, s)
         assert np.max(np.abs(via_volumes - via_solve)) <= 1e-9
@@ -273,7 +273,7 @@ def test_classify_examples():
     # subregions, not its own).
     for eps in (1e-3, 1e-6):
         x = BlochVector(
-            3, s.from_barycentric(np.array([1 - eps, eps * 0.6, eps * 0.4]))
+            3, np.array([1 - eps, eps * 0.6, eps * 0.4]) @ s.vertices
         )
         assert classify_weights(barycentric_coordinates(x, s), u) in (1, 2)
 
@@ -284,8 +284,8 @@ def test_classify_matches_membership_oracle(n):
     s = make_simplex(n)
     for _ in range(40):
         u = rng.dirichlet(np.ones(n))
-        p = BlochVector(n, s.from_barycentric(u))
-        x = BlochVector(n, s.from_barycentric(rng.dirichlet(np.ones(n))))
+        p = BlochVector(n, u @ s.vertices)
+        x = BlochVector(n, rng.dirichlet(np.ones(n)) @ s.vertices)
         got = classify_weights(barycentric_coordinates(x, s), barycentric_coordinates(p, s))
         expected = _membership_oracle(x.coordinates, p.coordinates, s.vertices)
         assert got == expected
@@ -298,7 +298,7 @@ def test_classification_partitions_match_weights(n):
     rng = np.random.default_rng(1000 + n)
     s = make_simplex(n)
     u = rng.dirichlet(np.ones(n))
-    p = BlochVector(n, s.from_barycentric(u))
+    p = BlochVector(n, u @ s.vertices)
     trials = 20000
     e = rng.standard_exponential((trials, n))
     v = e / e.sum(axis=1, keepdims=True)
@@ -375,12 +375,12 @@ def test_face_projection_matches_closed_form(n, block):
     s = make_simplex(n)
     for _ in range(10):
         u = rng.dirichlet(np.ones(n))
-        landed = BlochVector(n, s.from_barycentric(u))
+        landed = BlochVector(n, u @ s.vertices)
         w = np.zeros(n)
         idx = list(block)
         w[idx] = u[idx] + (1.0 - u[idx].sum()) / len(block)
         got = project_onto_face(landed, s, block)
-        np.testing.assert_allclose(got.coordinates, s.from_barycentric(w), atol=1e-12)
+        np.testing.assert_allclose(got.coordinates, w @ s.vertices, atol=1e-12)
     assert np.array_equal(project_onto_face(landed, s, (1,)).coordinates, s.vertices[1])
 
 

@@ -718,17 +718,16 @@ def test_scaling_law_slope():
 
 
 def test_config_validation():
-    # The batch checks trials and tolerance, so the config is built unchecked.
+    # The batch checks trials and the specs, so the config is built unchecked.
     with pytest.raises(ConfigError):
         simulate_statistics(
             ExperimentConfig(2, {"kind": "preset", "name": "maximally_mixed"},
                              {"kind": "canonical"}, {"kind": "uniform"}, 0, 1)
         )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown membrane kind 'nope'"):
         simulate_statistics(
             ExperimentConfig(2, {"kind": "preset", "name": "maximally_mixed"},
-                             {"kind": "canonical"}, {"kind": "uniform"}, 10, 1,
-                             tolerance_sigmas=0.0)
+                             {"kind": "canonical"}, {"kind": "nope"}, 10, 1)
         )
     with pytest.raises(ConfigError):
         simulate_statistics(

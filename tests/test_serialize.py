@@ -160,6 +160,16 @@ REJECTED_CONFIGS = [
     dict(MEASURE, membrane={"kind": "cellular", "weights": [0.5, -0.5]}),
     {"schema_version": "1", "experiment": "universal-average", "dimension": 2},
 ]
+# An unknown field at the root and in each closed spec, and a bad field of another command.
+UNKNOWN_FIELD_CONFIGS = [
+    {"schema_version": "1", "experiment": "verify-born", "dimension": 2, "trails": 5},
+    {"schema_version": "1", "experiment": "die", "trials": 0},
+    dict(MEASURE, state={"kind": "bloch", "coordinates": [0, 0, 1], "cordinates": []}),
+    dict(MEASURE, observable={"kind": "canonical", "label": []}),
+    dict(MEASURE, observable={"kind": "explicit", "labels": [0, 1],
+                              "eigenstates": [{"re": [1, 0], "imag": []}]}),
+    dict(MEASURE, membrane={"kind": "uniform", "weight": []}),
+]
 
 
 def _report():
@@ -187,7 +197,8 @@ def _broken_reports():
 @pytest.mark.parametrize(
     "name, payload",
     [("config.schema.json", c) for c in REJECTED_CONFIGS]
-    + [("report.schema.json", r) for r in _broken_reports()],
+    + [("report.schema.json", r) for r in _broken_reports()]
+    + [("config.schema.json", c) for c in UNKNOWN_FIELD_CONFIGS],
 )
 def test_schema_error_matches_jsonschema_validate(name, payload):
     with pytest.raises(jsonschema.ValidationError) as reference:
@@ -365,8 +376,10 @@ def _nested(value, depth):
 
 def test_a_config_deeper_than_the_recursion_limit_is_checked_without_recursion_error():
     depth = 2 * sys.getrecursionlimit()
-    # The schema admits an unknown root key of any depth.
-    validate_config_payload(dict(SPIN, bogus=_nested(1.0, depth)))
+    # An unknown root key of any depth is rejected by name.
+    with pytest.raises(ConfigError, match=r"^config field <root>: Additional properties "
+                                          r"are not allowed \('bogus' was unexpected\)$"):
+        validate_config_payload(dict(SPIN, bogus=_nested(1.0, depth)))
     path = "/".join(["bogus"] + ["0"] * depth)
     with pytest.raises(ConfigError, match=f"^config field {path}: not a finite number$"):
         validate_config_payload(dict(SPIN, bogus=_nested(math.nan, depth)))
